@@ -139,3 +139,47 @@ def test_spark_backend_never_sorts_globally(rel_factory):
     out = ops.qqr(r.repartition(7), ["id"], backend="spark")
     m = sorted_matrix(out, ["id"], ["a00", "a01", "a02"])
     assert np.allclose(m.T @ m, np.eye(3), atol=1e-8)
+
+
+_DISTRIBUTED = ("zip_linear", "gram", "qqr_rows", "rqr_matrix", "mmu_rows")
+_AUTO_CASES = [
+    *[(op, "distributed.zip_linear") for op in ("add", "sub", "emu")],
+    ("cpd(r, r)", "distributed.gram"),
+    *[(op, f"matrix_ops.{op}") for op in ("cpd", "sol", "mmu", "opd")],
+    *[(op, f"matrix_ops.{op}") for op in ops.UNARY_OPS],
+]
+
+
+@pytest.mark.parametrize("op,kernel", _AUTO_CASES, ids=[c[0] for c in _AUTO_CASES])
+def test_auto_backend_policy(monkeypatch, rel_factory, op, kernel):
+    """``backend="auto"``: linear ops and ``cpd(r, r)`` stay in the engine,
+    everything else (``qqr``/``rqr``/``sol``/``mmu`` included) runs LAPACK.
+
+    The spies replace kernels after import, so they also prove that ops
+    looks kernels up when the call runs (the benchmark tracer relies on it).
+    """
+    from repro.core import distributed, matrix_ops
+
+    ran = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            ran.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _DISTRIBUTED:
+        monkeypatch.setattr(distributed, name, spy(f"distributed.{name}", getattr(distributed, name)))
+    for table in (matrix_ops.UNARY, matrix_ops.BINARY):
+        for name, fn in list(table.items()):
+            monkeypatch.setitem(table, name, spy(f"matrix_ops.{name}", fn))
+
+    r, _ = rel_factory(4, 4, square=True, spd=True, seed=17)
+    s, _ = rel_factory(4, 1 if op == "sol" else 4, seed=18, key="id2", prefix="b")
+    if op == "cpd(r, r)":
+        ops.cpd(r, r, ["id"], ["id"], backend="auto")
+    elif op in ops.BINARY_OPS:
+        ops.BINARY_OPS[op](r, s, ["id"], ["id2"], backend="auto")
+    else:
+        ops.UNARY_OPS[op](r, ["id"], backend="auto")
+    assert ran == [kernel]
