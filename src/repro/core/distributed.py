@@ -10,6 +10,7 @@ application part to the driver:
   keys (the paper's §8.1 sort-avoidance optimisation);
 - :func:`gram` — ``AᵀB`` via per-partition partial Gram matrices
   (exact; addition is permutation-invariant so no sort is needed);
+- :func:`sol_normal` — ``sol`` from two partial Gram matrices;
 - :func:`qqr_rows` — CholeskyQR: ``R`` from the Gram matrix, then each
   row's Q values computed in place with a broadcast ``R⁻¹`` (again no
   global sort: row i of Q belongs to row i of the input, wherever it
@@ -145,6 +146,20 @@ def gram(
     for row in agg:
         g[row["i"], row["j"]] = row["v"]
     return g
+
+
+def sol_normal(
+    r: DataFrame,
+    by: Sequence[str],
+    app_r: Sequence[str],
+    s: DataFrame,
+    by2: Sequence[str],
+    app_s: Sequence[str],
+) -> np.ndarray:
+    """``sol`` by the normal equations over partial Grams: ``x = (AᵀA)⁻¹ Aᵀb``."""
+    if len(app_s) != 1:
+        raise ValueError(f"SOL right-hand side must be a single column, got {len(app_s)}")
+    return np.linalg.solve(gram(r, app_r), gram(r, app_r, s, by, by2, app_s))
 
 
 def _chol_r(g: np.ndarray) -> np.ndarray:

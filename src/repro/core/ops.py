@@ -24,6 +24,9 @@ shape type     operations  result schema
 ``(1,1)``      det rnk     ``(C, op)``   (single tuple ``('op', value)``)
 =============  ==========  ================================================
 
+The result schema is derived from the shape type alone (:func:`_apply`):
+the rows axis picks the row origins, the cols axis the column names.
+
 Backends (``backend=`` keyword):
 
 - ``"local"`` — the RMA+MKL analogue: Arrow-collect the application part
@@ -33,16 +36,18 @@ Backends (``backend=`` keyword):
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
   ``inv`` (Algorithm 2), ``qqr``/``rqr`` (Gram-Schmidt), and the linear
   ops.
-- ``"auto"`` — the paper's policy (§8): linear operations stay in the
-  engine, complex operations delegate to the LAPACK backend.
+- ``"auto"`` — the paper's policy (§8): linear operations and the self
+  cross product ``cpd(r, r)`` stay in the engine, everything else
+  delegates to the LAPACK backend.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.batops import kernels as bat
@@ -54,9 +59,10 @@ from repro.core.constructors import (
     schema_cast,
     split_sorted,
 )
-from repro.core.shapes import SQUARE_INPUT_OPS, shape_type
+from repro.core.shapes import Dim, shape_type
 
 C_ATTR = "C"
+_ALIGNS = ("position", "keys")
 
 _NUMERIC = (T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.FloatType, T.DoubleType, T.DecimalType)
 
@@ -65,8 +71,59 @@ def _norm(by: str | Sequence[str]) -> list[str]:
     return [by] if isinstance(by, str) else list(by)
 
 
-def _check_relation(r: DataFrame, by: list[str], validate: bool, op: str) -> list[str]:
-    """Validate order schema (key) and application schema (numeric); return Ū."""
+#: The checked arguments of one RMA call, as the spark kernels see them;
+#: ``shared`` means both arguments are one relation under one order schema.
+_Call = namedtuple("_Call", "op r by app_r s by2 app_s schema align shared")
+
+
+def _columnwise(kernel):
+    """Run a BAT kernel (lists of 1-D columns) on matrices."""
+    return lambda *ms: bat.from_bats(kernel(*[bat.as_bats(m) for m in ms]))
+
+
+def _zip(c: _Call) -> DataFrame:
+    return distributed.zip_linear(c.r, c.by, c.s, c.by2, c.app_r, c.app_s, c.op, c.schema, align=c.align)
+
+
+# Kernels other than LAPACK (``matrix_ops.UNARY``/``BINARY``). Spark kernels
+# take the call and return the result relation, or a small matrix that is
+# rebuilt with γ; BAT kernels take the sorted matrices like LAPACK does.
+# Entries look their functions up when they run, so they can be swapped.
+_KERNELS = {
+    "spark": {
+        "add": _zip,
+        "sub": _zip,
+        "emu": _zip,
+        "cpd": lambda c: (distributed.gram(c.r, c.app_r) if c.shared
+                          else distributed.gram(c.r, c.app_r, c.s, c.by, c.by2, c.app_s)),
+        "sol": lambda c: distributed.sol_normal(c.r, c.by, c.app_r, c.s, c.by2, c.app_s),
+        "mmu": lambda c: distributed.mmu_rows(c.r, c.by, c.app_r, split_sorted(c.s, c.by2)[1], c.app_s),
+        "qqr": lambda c: distributed.qqr_rows(c.r, c.by, c.app_r),
+        "rqr": lambda c: distributed.rqr_matrix(c.r, c.app_r),
+    },
+    "bat": {
+        "add": _columnwise(bat.col_add),
+        "sub": _columnwise(bat.col_sub),
+        "emu": _columnwise(bat.col_emu),
+        "inv": _columnwise(bat.gauss_jordan_inv),
+        "qqr": _columnwise(lambda b: bat.gram_schmidt_qr(b)[0]),
+        "rqr": _columnwise(lambda b: bat.gram_schmidt_qr(b)[1]),
+    },
+}
+
+
+def _backend(op: str, backend: str, shared: bool) -> str:
+    """Resolve ``auto``; reject unknown backends and those without a kernel for ``op``."""
+    if backend == "auto":
+        return "spark" if shape_type(op).rows is Dim.RS or (op == "cpd" and shared) else "local"
+    if backend == "local" or op in _KERNELS.get(backend, ()):
+        return backend
+    usable = ["auto", "local", *[b for b, table in _KERNELS.items() if op in table]]
+    raise ValueError(f"{op}: no {backend.upper()} kernel for backend={backend!r}; use one of {usable}")
+
+
+def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
+    """Check the application schema Ū of ``r`` is non-empty and numeric; return it."""
     app = application_schema(r, by)
     if not app:
         raise ValueError(f"{op}: application schema is empty (every attribute is in the order schema)")
@@ -77,186 +134,106 @@ def _check_relation(r: DataFrame, by: list[str], validate: bool, op: str) -> lis
             f"{op}: application attributes must be numeric; {bad} are not "
             "(add them to the order schema or project them away)"
         )
-    if validate and r.select(*by).distinct().count() != r.count():
-        raise ValueError(f"{op}: order schema {by} does not form a key")
     return app
 
 
-def _check_counts(r: DataFrame, s: DataFrame, op: str) -> None:
-    n, m = r.count(), s.count()
-    if n != m:
-        raise ValueError(f"{op}: inputs must have the same number of tuples, got {n} and {m}")
+def _tuples(r: DataFrame, by: list[str], op: str) -> int:
+    """Number of tuples of ``r``, after checking in the same aggregation that ``by`` is a key.
+
+    Distinct structs count null keys as equal values, as ``distinct()`` does.
+    """
+    n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+    if keys != n:
+        raise ValueError(f"{op}: order schema {by} does not form a key")
+    return n
 
 
-# --- unary operations ---------------------------------------------------
-
-def _unary(op: str, r: DataFrame, by: str | Sequence[str], backend: str, validate: bool) -> DataFrame:
-    by = _norm(by)
-    app = _check_relation(r, by, validate, op)
-    st = shape_type(op)
-    spark = r.sparkSession
-
-    if op in ("tra", "usv") and len(by) != 1:
-        raise ValueError(f"{op}: the order schema must have exactly one attribute (column cast ∇U)")
-
-    # Distributed kernels that never collect the application part.
-    if backend == "spark":
-        if op == "qqr":
-            out = distributed.qqr_rows(r, by, app)
-            if validate:
-                pass  # key check already done; CholeskyQR validates rank
-            return out
-        if op == "rqr":
-            base = distributed.rqr_matrix(r, app)
-            return relation_constructor(spark, [schema_cast(app), base], [C_ATTR, *app])
-        raise ValueError(f"{op}: no distributed kernel; use backend='local' or 'bat'")
-
-    order_pdf, m = split_sorted(r, by)
-    if op in SQUARE_INPUT_OPS and m.shape[0] != m.shape[1]:
-        raise ValueError(f"{op.upper()} requires a square matrix, got {m.shape}")
-
-    if backend == "bat":
-        if op == "inv":
-            base = bat.from_bats(bat.gauss_jordan_inv(bat.as_bats(m)))
-        elif op == "qqr":
-            base = bat.from_bats(bat.gram_schmidt_qr(bat.as_bats(m))[0])
-        elif op == "rqr":
-            base = bat.from_bats(bat.gram_schmidt_qr(bat.as_bats(m))[1])
-        else:
-            raise ValueError(f"{op}: no BAT kernel; use backend='local'")
-    else:
-        base = matrix_ops.UNARY[op](m)
-
-    if op == "usv":
-        return relation_constructor(spark, [order_pdf, base], [*by, *column_cast(r, by[0])])
-    if op in ("inv", "evc", "chf", "qqr"):
-        return relation_constructor(spark, [order_pdf, base], [*by, *app])
-    if op in ("evl", "vsv"):
-        return relation_constructor(spark, [order_pdf, base], [*by, op])
-    if op == "tra":
-        return relation_constructor(spark, [schema_cast(app), base], [C_ATTR, *column_cast(r, by[0])])
-    if op in ("rqr", "dsv"):
-        return relation_constructor(spark, [schema_cast(app), base], [C_ATTR, *app])
-    if op in ("det", "rnk"):
-        return relation_constructor(spark, [np.array([[op]], dtype=object), base], [C_ATTR, op])
-    raise AssertionError(f"unhandled unary op {op} with shape type {st}")
-
-
-# --- binary operations --------------------------------------------------
-
-def _binary(
+def _apply(
     op: str,
     r: DataFrame,
-    s: DataFrame,
     by: str | Sequence[str],
-    by2: str | Sequence[str],
+    s: DataFrame | None = None,
+    by2: str | Sequence[str] = (),
+    *,
     backend: str,
     validate: bool,
     align: str = "position",
 ) -> DataFrame:
+    """Run relational matrix operation ``op``; its shape type fixes the result schema."""
+    st = shape_type(op)
     by, by2 = _norm(by), _norm(by2)
-    app_r = _check_relation(r, by, validate, op)
-    app_s = _check_relation(s, by2, validate, op)
-    spark = r.sparkSession
-
-    if op == "opd" and len(by2) != 1:
-        raise ValueError("opd: the second order schema must have exactly one attribute (column cast ∇V)")
-
-    if op in ("emu", "add", "sub"):
-        if len(app_r) != len(app_s):
-            raise ValueError(
-                f"{op}: application schemas must be union compatible, "
-                f"got {len(app_r)} vs {len(app_s)} attributes"
-            )
-        out_schema = [*by, *by2, *app_r]
-        if len(set(out_schema)) != len(out_schema):
-            raise ValueError(
-                f"{op}: order schemas must not overlap and must not clash with "
-                f"the application schema; rename (ρ) attributes in {out_schema}"
-            )
-        if validate:
-            _check_counts(r, s, op)
-        if backend in ("auto", "spark"):
-            return distributed.zip_linear(r, by, s, by2, app_r, app_s, op, out_schema, align=align)
-        (order_r, m), (order_s, n) = split_sorted(r, by), split_sorted(s, by2)
-        if backend == "bat":
-            kern = {"add": bat.col_add, "sub": bat.col_sub, "emu": bat.col_emu}[op]
-            base = bat.from_bats(kern(bat.as_bats(m), bat.as_bats(n)))
-        else:
-            base = matrix_ops.BINARY[op](m, n)
-        return relation_constructor(spark, [order_r, order_s, base], out_schema)
-
-    if op == "cpd" and backend in ("spark",):
-        if validate:
-            _check_counts(r, s, op)
-        self_cpd = r is s and by == by2
-        base = (
-            distributed.gram(r, app_r)
-            if self_cpd
-            else distributed.gram(r, app_r, s, by, by2, app_s)
+    shared = s is r and by2 == by
+    backend = _backend(op, backend, shared)
+    if align not in _ALIGNS:
+        raise ValueError(f"{op}: unknown align {align!r}; use one of {list(_ALIGNS)}")
+    app_r = _application(r, by, op)
+    app_s = _application(s, by2, op) if st.binary else []
+    cast = {Dim.R1: (r, by), Dim.R2: (s, by2)}.get(st.cols)  # result columns named by ∇
+    if cast and len(cast[1]) != 1:
+        raise ValueError(
+            f"{op}: the order schema {cast[1]} must have exactly one attribute "
+            "(its column cast ∇ names the result columns)"
         )
-        return relation_constructor(spark, [schema_cast(app_r), base], [C_ATTR, *app_s])
+    if st.cols is Dim.CS and len(app_r) != len(app_s):
+        raise ValueError(
+            f"{op}: application schemas must be union compatible, "
+            f"got {len(app_r)} vs {len(app_s)} attributes"
+        )
+    if validate:
+        n_r = _tuples(r, by, op)
+        n_s = n_r if shared or not st.binary else _tuples(s, by2, op)
+        if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
+            raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
 
-    if op == "sol" and backend == "spark":
-        if validate:
-            _check_counts(r, s, op)
-        if len(app_s) != 1:
-            raise ValueError(f"SOL right-hand side must be a single column, got {len(app_s)}")
-        # Normal equations over distributed partial Grams: x = (AᵀA)⁻¹ Aᵀb.
-        ata = distributed.gram(r, app_r)
-        atb = distributed.gram(r, app_r, s, by, by2, app_s)
-        base = np.linalg.solve(ata, atb)
-        return relation_constructor(spark, [schema_cast(app_r), base], [C_ATTR, *app_s])
+    rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
+    cols = column_cast(cast[0], cast[1][0]) if cast else {Dim.C2: app_s, Dim.ONE: [op]}.get(st.cols, app_r)
+    schema = [*rows, *cols]
+    if len(set(schema)) != len(schema):
+        raise ValueError(
+            f"{op}: result attributes {schema} clash; rename (ρ) attributes "
+            "so that the origins of every cell stay distinguishable"
+        )
 
-    if op == "mmu" and backend == "spark":
-        _, right = split_sorted(s, by2)
-        out_schema = [*by, *app_s]
-        if len(set(out_schema)) != len(set(by)) + len(app_s):
-            raise ValueError(f"mmu: result attributes clash: {out_schema}; rename (ρ) first")
-        return distributed.mmu_rows(r, by, app_r, right, app_s)
-
-    if backend in ("spark", "bat") and op in ("mmu", "opd", "cpd", "sol"):
-        raise ValueError(f"{op}: backend {backend!r} not available; use 'local'")
-
-    (order_r, m), (order_s, n) = split_sorted(r, by), split_sorted(s, by2)
-    base = matrix_ops.BINARY[op](m, n)
-
-    if op == "opd":
-        return relation_constructor(spark, [order_r, base], [*by, *column_cast(s, by2[0])])
-    if op == "mmu":
-        return relation_constructor(spark, [order_r, base], [*by, *app_s])
-    if op in ("cpd", "sol"):
-        return relation_constructor(spark, [schema_cast(app_r), base], [C_ATTR, *app_s])
-    raise AssertionError(f"unhandled binary op {op}")
+    order_r = order_s = None
+    if backend == "spark":
+        base = _KERNELS["spark"][op](_Call(op, r, by, app_r, s, by2, app_s, schema, align, shared))
+        if isinstance(base, DataFrame):
+            return base
+    else:
+        order_r, m = split_sorted(r, by)
+        order_s, n = (order_r, m) if shared else split_sorted(s, by2) if st.binary else (None, None)
+        kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
+        base = kernel(m, n) if st.binary else kernel(m)
+    origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}
+    parts = origins.get(st.rows, [np.array([[op]], dtype=object)])
+    return relation_constructor(r.sparkSession, [*parts, base], schema)
 
 
 # --- public API (one function per operation) ----------------------------
 
 def emu(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
     """``emu_{U;V}(r, s)``: element-wise multiplication; schema ``U ∘ V ∘ Ū``."""
-    return _binary("emu", r, s, by, by2, backend, validate, align)
+    return _apply("emu", r, by, s, by2, backend=backend, validate=validate, align=align)
 
 
 def add(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
     """``add_{U;V}(r, s)``: matrix addition; schema ``U ∘ V ∘ Ū``."""
-    return _binary("add", r, s, by, by2, backend, validate, align)
+    return _apply("add", r, by, s, by2, backend=backend, validate=validate, align=align)
 
 
 def sub(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
     """``sub_{U;V}(r, s)``: matrix subtraction; schema ``U ∘ V ∘ Ū``."""
-    return _binary("sub", r, s, by, by2, backend, validate, align)
+    return _apply("sub", r, by, s, by2, backend=backend, validate=validate, align=align)
 
 
 def mmu(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
     """``mmu_{U;V}(r, s)``: matrix multiplication; schema ``U ∘ V̄``."""
-    backend = "local" if backend == "auto" else backend
-    return _binary("mmu", r, s, by, by2, backend, validate)
+    return _apply("mmu", r, by, s, by2, backend=backend, validate=validate)
 
 
-def opd(r, s, by, by2, *, backend="local", validate=True) -> DataFrame:
+def opd(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
     """``opd_{U;V}(r, s)``: outer product; schema ``U ∘ ∇V``."""
-    backend = "local" if backend == "auto" else backend
-    return _binary("opd", r, s, by, by2, backend, validate)
+    return _apply("opd", r, by, s, by2, backend=backend, validate=validate)
 
 
 def cpd(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
@@ -266,87 +243,72 @@ def cpd(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
     distributed via partial Gram matrices (no sort — §8.1 optimisation);
     the general case runs locally.
     """
-    if backend == "auto":
-        backend = "spark" if (r is s and _norm(by) == _norm(by2)) else "local"
-    return _binary("cpd", r, s, by, by2, backend, validate)
+    return _apply("cpd", r, by, s, by2, backend=backend, validate=validate)
 
 
 def sol(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
     """``sol_{U;V}(r, s)``: least-squares solve of ``r·x = s``; schema ``(C) ∘ V̄``."""
-    backend = "local" if backend == "auto" else backend
-    return _binary("sol", r, s, by, by2, backend, validate)
+    return _apply("sol", r, by, s, by2, backend=backend, validate=validate)
 
 
-def tra(r, by, *, backend="local", validate=True) -> DataFrame:
+def tra(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``tra_U(r)``: transpose; schema ``(C) ∘ ∇U``, C values = ``Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("tra", r, by, backend, validate)
+    return _apply("tra", r, by, backend=backend, validate=validate)
 
 
 def inv(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``inv_U(r)``: matrix inversion; schema ``U ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("inv", r, by, backend, validate)
+    return _apply("inv", r, by, backend=backend, validate=validate)
 
 
-def evc(r, by, *, backend="local", validate=True) -> DataFrame:
+def evc(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``evc_U(r)``: eigenvectors; schema ``U ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("evc", r, by, backend, validate)
+    return _apply("evc", r, by, backend=backend, validate=validate)
 
 
-def evl(r, by, *, backend="local", validate=True) -> DataFrame:
+def evl(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``evl_U(r)``: eigenvalues; schema ``U ∘ (evl)``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("evl", r, by, backend, validate)
+    return _apply("evl", r, by, backend=backend, validate=validate)
 
 
 def qqr(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``qqr_U(r)``: Q of the QR decomposition; schema ``U ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("qqr", r, by, backend, validate)
+    return _apply("qqr", r, by, backend=backend, validate=validate)
 
 
 def rqr(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``rqr_U(r)``: R of the QR decomposition; schema ``(C) ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("rqr", r, by, backend, validate)
+    return _apply("rqr", r, by, backend=backend, validate=validate)
 
 
-def dsv(r, by, *, backend="local", validate=True) -> DataFrame:
+def dsv(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``dsv_U(r)``: diagonal matrix of singular values; schema ``(C) ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("dsv", r, by, backend, validate)
+    return _apply("dsv", r, by, backend=backend, validate=validate)
 
 
-def usv(r, by, *, backend="local", validate=True) -> DataFrame:
+def usv(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``usv_U(r)``: left singular vectors; schema ``U ∘ ∇U`` (needs ``|U|=1``)."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("usv", r, by, backend, validate)
+    return _apply("usv", r, by, backend=backend, validate=validate)
 
 
-def vsv(r, by, *, backend="local", validate=True) -> DataFrame:
+def vsv(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``vsv_U(r)``: singular values as a column; schema ``U ∘ (vsv)``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("vsv", r, by, backend, validate)
+    return _apply("vsv", r, by, backend=backend, validate=validate)
 
 
-def det(r, by, *, backend="local", validate=True) -> DataFrame:
+def det(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``det_U(r)``: determinant; single-tuple relation with schema ``(C, det)``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("det", r, by, backend, validate)
+    return _apply("det", r, by, backend=backend, validate=validate)
 
 
-def rnk(r, by, *, backend="local", validate=True) -> DataFrame:
+def rnk(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``rnk_U(r)``: numerical rank; single-tuple relation with schema ``(C, rnk)``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("rnk", r, by, backend, validate)
+    return _apply("rnk", r, by, backend=backend, validate=validate)
 
 
-def chf(r, by, *, backend="local", validate=True) -> DataFrame:
+def chf(r, by, *, backend="auto", validate=True) -> DataFrame:
     """``chf_U(r)``: Cholesky factor (upper, ``RᵀR=A``); schema ``U ∘ Ū``."""
-    backend = "local" if backend == "auto" else backend
-    return _unary("chf", r, by, backend, validate)
+    return _apply("chf", r, by, backend=backend, validate=validate)
 
 
 #: name → callable, for the SQL front-end and generic tests.

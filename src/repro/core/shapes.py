@@ -62,12 +62,6 @@ SHAPE_TYPES: dict[str, ShapeType] = {
 #: Operations whose argument matrix must be square (rows == cols).
 SQUARE_INPUT_OPS = frozenset({"inv", "evc", "evl", "chf", "det"})
 
-#: Operations whose |order schema| must be 1 for the first (``tra``,
-#: ``usv``) or second (``opd``) argument, because the column cast of the
-#: order attribute names the result columns (Table 2).
-UNIT_ORDER_FIRST = frozenset({"tra", "usv"})
-UNIT_ORDER_SECOND = frozenset({"opd"})
-
 
 def shape_type(op: str) -> ShapeType:
     """Look up the shape type of matrix/RMA operation ``op`` (lowercase)."""

@@ -53,6 +53,6 @@ def covariance_via_cpd(r: DataFrame, by: str | Sequence[str], *, backend: str = 
     if n < 2:
         raise ValueError("covariance requires at least two tuples")
     w3 = _centered(r, by, app, backend)
-    g = ops.cpd(w3, w3, by, by, backend="spark" if backend in ("auto", "spark") else backend)
+    g = ops.cpd(w3, w3, by, by, backend=backend)
     scale = float(n - 1)
     return g.select("C", *[(F.col(c) / scale).alias(c) for c in app])

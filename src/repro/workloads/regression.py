@@ -51,9 +51,9 @@ def ols(
     a_rel = r.select(*sel_a)
     v_rel = r.select(*by, F.col(y_col).cast("double").alias(y_col))
 
-    gram = ops.cpd(a_rel, a_rel, by, by, backend="spark" if backend in ("auto", "spark") else backend)
+    gram = ops.cpd(a_rel, a_rel, by, by, backend=backend)
     gram_inv = ops.inv(gram, ["C"], validate=False)
-    xty = ops.cpd(a_rel, v_rel, by, by, backend="local")
+    xty = ops.cpd(a_rel, v_rel, by, by, backend=backend)
     beta = ops.mmu(gram_inv, xty, ["C"], ["C"], validate=False)
 
     back = {v: k for k, v in canon_all.items()}

@@ -133,6 +133,16 @@ def test_unavailable_backend_raises(rel_factory):
         ops.evc(r, ["id"], backend="bat")
 
 
+def test_unknown_backend_and_align_raise(rel_factory):
+    """A misspelt option names the operation and the allowed values."""
+    r, _ = rel_factory(4, 2)
+    s, _ = rel_factory(4, 2, key="id2", prefix="b")
+    with pytest.raises(ValueError, match=r"qqr: .*'mkl'.*\['auto', 'local', 'spark', 'bat'\]"):
+        ops.qqr(r, "id", backend="mkl")
+    with pytest.raises(ValueError, match=r"add: .*'key'.*\['position', 'keys'\]"):
+        ops.add(r, s, "id", "id2", align="key")
+
+
 def test_spark_backend_never_sorts_globally(rel_factory):
     """qqr spark keeps each row's own context (no order column needed)."""
     r, _ = rel_factory(100, 3, seed=16)

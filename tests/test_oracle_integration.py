@@ -64,17 +64,3 @@ def test_trips_preparation_join(spark):
         FROM trips t JOIN stations s ON t.start_station = s.code
     """
     assert_equivalent(prepped, sql, trips=trips, stations=st)
-
-
-def test_tpch_lite_aggregation_oracle(spark):
-    """The provided TPC-H-lite generators work with the oracle end-to-end."""
-    li = synth_data.lineitem(spark, sf=0.002)
-    out = (
-        li.groupBy("l_returnflag")
-        .agg(F.sum("l_quantity").alias("qty"), F.count("*").alias("cnt"))
-    )
-    sql = """
-        SELECT l_returnflag, SUM(l_quantity) AS qty, COUNT(*) AS cnt
-        FROM lineitem GROUP BY l_returnflag
-    """
-    assert_equivalent(out, sql, lineitem=li)

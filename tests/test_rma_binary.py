@@ -50,11 +50,14 @@ def test_linear_union_incompatible_raises(rel_factory):
         ops.add(r, s, ["id"], ["id2"])
 
 
-def test_linear_count_mismatch_raises(rel_factory):
+@pytest.mark.parametrize("op,backend,k", [("add", "auto", 2), ("cpd", "local", 2), ("sol", "local", 1)],
+                         ids=["add", "cpd", "sol"])
+def test_linear_count_mismatch_raises(rel_factory, op, backend, k):
+    """Inputs that share rows are checked up front, on every backend."""
     r, _ = rel_factory(3, 2, seed=1)
-    s, _ = rel_factory(4, 2, seed=2, key="id2")
+    s, _ = rel_factory(4, k, seed=2, key="id2")
     with pytest.raises(ValueError, match="same number of tuples"):
-        ops.add(r, s, ["id"], ["id2"])
+        ops.BINARY_OPS[op](r, s, ["id"], ["id2"], backend=backend)
 
 
 @pytest.mark.parametrize("n,k,j", [(4, 2, 3), (5, 3, 1)])

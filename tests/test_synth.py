@@ -68,10 +68,3 @@ def test_publications_and_ranking_align(spark):
     rank = synth_data.ranking(spark, n_confs=4)
     assert pub.columns == ["author"] + [f"conf_{j}" for j in range(4)]
     assert sorted(r["conf"] for r in rank.collect()) == [f"conf_{j}" for j in range(4)]
-
-
-def test_provided_tpch_lite_generators_still_work(spark):
-    li = synth_data.lineitem(spark, sf=0.001)
-    o = synth_data.orders(spark, sf=0.001)
-    assert li.count() > 0 and o.count() > 0
-    assert "l_orderkey" in li.columns and "o_orderkey" in o.columns

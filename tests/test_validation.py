@@ -17,6 +17,21 @@ def test_order_schema_must_form_key(dup_key):
         ops.qqr(dup_key, ["k"])
 
 
+def test_null_keys_are_duplicates(spark):
+    """Two null order-schema values are one key value, as under ``distinct()``."""
+    r = spark.createDataFrame(
+        pd.DataFrame({"k": ["a", None, None], "v": [1.0, 2.0, 3.0], "w": [1.0, 0.0, 1.0]})
+    )
+    with pytest.raises(ValueError, match="does not form a key"):
+        ops.qqr(r, ["k"])
+
+
+def test_shared_input_key_check(dup_key):
+    """``cpd(r, r)`` validates its one relation once, and still catches duplicates."""
+    with pytest.raises(ValueError, match="does not form a key"):
+        ops.cpd(dup_key, dup_key, ["k"], ["k"])
+
+
 def test_key_check_skippable_for_benchmarks(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": ["a", "b"], "v": [1.0, 2.0], "w": [0.0, 1.0]}))
     assert ops.qqr(r, ["k"], validate=False).count() == 2
