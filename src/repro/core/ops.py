@@ -29,8 +29,9 @@ the rows axis picks the row origins, the cols axis the column names.
 
 Backends (``backend=`` keyword):
 
-- ``"local"`` — the RMA+MKL analogue: Arrow-collect the application part
-  in order-schema order, run numpy/LAPACK, rebuild the relation.
+- ``"local"`` — the RMA+MKL analogue: copy each input to the driver in
+  one unsorted Arrow collect, then sort it, check its order schema is a
+  key and read ``∇`` there, run numpy/LAPACK, rebuild the relation.
 - ``"spark"`` — distributed kernels (:mod:`repro.core.distributed`) for
   ``add``/``sub``/``emu``, ``cpd``, ``sol``, ``mmu``, ``qqr``, ``rqr``.
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
@@ -55,6 +56,7 @@ from repro.core import distributed, matrix_ops
 from repro.core.constructors import (
     application_schema,
     column_cast,
+    distinct_keys,
     relation_constructor,
     schema_cast,
     split_sorted,
@@ -72,8 +74,9 @@ def _norm(by: str | Sequence[str]) -> list[str]:
 
 
 #: The checked arguments of one RMA call, as the spark kernels see them;
+#: ``n`` is the sorted matrix of ``s`` when it was copied to the driver, and
 #: ``shared`` means both arguments are one relation under one order schema.
-_Call = namedtuple("_Call", "op r by app_r s by2 app_s schema align shared")
+_Call = namedtuple("_Call", "op r by app_r s by2 app_s n schema align shared")
 
 
 def _columnwise(kernel):
@@ -97,7 +100,7 @@ _KERNELS = {
         "cpd": lambda c: (distributed.gram(c.r, c.app_r) if c.shared
                           else distributed.gram(c.r, c.app_r, c.s, c.by, c.by2, c.app_s)),
         "sol": lambda c: distributed.sol_normal(c.r, c.by, c.app_r, c.s, c.by2, c.app_s),
-        "mmu": lambda c: distributed.mmu_rows(c.r, c.by, c.app_r, split_sorted(c.s, c.by2)[1], c.app_s),
+        "mmu": lambda c: distributed.mmu_rows(c.r, c.by, c.app_r, c.n, c.app_s),
         "qqr": lambda c: distributed.qqr_rows(c.r, c.by, c.app_r),
         "rqr": lambda c: distributed.rqr_matrix(c.r, c.app_r),
     },
@@ -137,12 +140,18 @@ def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
     return app
 
 
-def _tuples(r: DataFrame, by: list[str], op: str) -> int:
-    """Number of tuples of ``r``, after checking in the same aggregation that ``by`` is a key.
+def _tuples(r: DataFrame, by: list[str], op: str, order=None) -> int:
+    """Number of tuples of ``r``, after checking that ``by`` is a key.
 
-    Distinct structs count null keys as equal values, as ``distinct()`` does.
+    An input copied to the driver is checked on its order part ``order`` at
+    no Spark job; one that stays in the engine by one ``count(1)`` /
+    ``count(DISTINCT struct(U))`` aggregation. Both count keys as Spark
+    groups them: nulls equal each other, NaN equals NaN, ``-0.0`` equals ``0.0``.
     """
-    n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+    if order is None:
+        n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+    else:
+        n, keys = len(order), distinct_keys(order)
     if keys != n:
         raise ValueError(f"{op}: order schema {by} does not form a key")
     return n
@@ -168,10 +177,10 @@ def _apply(
         raise ValueError(f"{op}: unknown align {align!r}; use one of {list(_ALIGNS)}")
     app_r = _application(r, by, op)
     app_s = _application(s, by2, op) if st.binary else []
-    cast = {Dim.R1: (r, by), Dim.R2: (s, by2)}.get(st.cols)  # result columns named by ∇
-    if cast and len(cast[1]) != 1:
+    cast = {Dim.R1: by, Dim.R2: by2}.get(st.cols)  # result columns named by ∇ of this order schema
+    if cast is not None and len(cast) != 1:
         raise ValueError(
-            f"{op}: the order schema {cast[1]} must have exactly one attribute "
+            f"{op}: the order schema {cast} must have exactly one attribute "
             "(its column cast ∇ names the result columns)"
         )
     if st.cols is Dim.CS and len(app_r) != len(app_s):
@@ -179,14 +188,28 @@ def _apply(
             f"{op}: application schemas must be union compatible, "
             f"got {len(app_r)} vs {len(app_s)} attributes"
         )
+
+    # μ copies every input of a LAPACK/BAT kernel, and the right operand of the
+    # spark mmu, to the driver; a copied input is validated on its copy.
+    local = backend != "spark"
+    order_r, m = split_sorted(r, by) if local else (None, None)
+    if st.binary and shared and local:
+        order_s, n = order_r, m
+    elif st.binary and (local or op == "mmu"):
+        order_s, n = split_sorted(s, by2)
+    else:
+        order_s = n = None
     if validate:
-        n_r = _tuples(r, by, op)
-        n_s = n_r if shared or not st.binary else _tuples(s, by2, op)
+        n_r = _tuples(r, by, op, order_s if shared else order_r)
+        n_s = n_r if shared or not st.binary else _tuples(s, by2, op, order_s)
         if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
             raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
 
     rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
-    cols = column_cast(cast[0], cast[1][0]) if cast else {Dim.C2: app_s, Dim.ONE: [op]}.get(st.cols, app_r)
+    if cast is not None:
+        cols = column_cast(order_r if st.cols is Dim.R1 else order_s, cast[0])
+    else:
+        cols = {Dim.C2: app_s, Dim.ONE: [op]}.get(st.cols, app_r)
     schema = [*rows, *cols]
     if len(set(schema)) != len(schema):
         raise ValueError(
@@ -194,14 +217,11 @@ def _apply(
             "so that the origins of every cell stay distinguishable"
         )
 
-    order_r = order_s = None
     if backend == "spark":
-        base = _KERNELS["spark"][op](_Call(op, r, by, app_r, s, by2, app_s, schema, align, shared))
+        base = _KERNELS["spark"][op](_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared))
         if isinstance(base, DataFrame):
             return base
     else:
-        order_r, m = split_sorted(r, by)
-        order_s, n = (order_r, m) if shared else split_sorted(s, by2) if st.binary else (None, None)
         kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
         base = kernel(m, n) if st.binary else kernel(m)
     origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}

@@ -1,11 +1,16 @@
 """Tests for the matrix/relation constructors and casts (Sections 3, 4.1)."""
+import math
+
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from helpers import KEY_CASES, key_case
 from repro.core.constructors import (
     application_schema,
     column_cast,
+    distinct_keys,
     matrix_constructor,
     matrix_constructor_complement,
     relation_constructor,
@@ -58,23 +63,57 @@ def test_split_sorted_multi_attr_order_schema(weather):
     assert m[:, 0].tolist() == [3.0, 4.0, 7.0, 5.0]
 
 
+def _value(v):
+    """A key value compared across Spark rows and pandas cells: NaN equals NaN."""
+    if v is None or v is pd.NA:
+        return None
+    return "NaN" if isinstance(v, float) and math.isnan(v) else v
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_split_sorted_matches_spark_order(spark, case):
+    """The driver-side sort is Spark's ascending order, stable on ties."""
+    r, by = key_case(spark, case)
+    # Spark's order made stable by the collect order of the rows.
+    want = r.withColumn("_i", F.monotonically_increasing_id()).orderBy(*by, "_i").collect()
+    order, m = split_sorted(r, by)
+    assert list(order.columns) == by
+    got_keys = [tuple(map(_value, row)) for row in order.itertuples(index=False)]
+    assert got_keys == [tuple(_value(row[c]) for c in by) for row in want]
+    assert m.shape == (len(want), 1)
+    assert m[:, 0].tolist() == [row["v"] for row in want]
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_distinct_keys_match_spark_count_distinct(spark, case):
+    """Driver key count = ``count(DISTINCT struct(U))``: null≠NaN, NaN=NaN, 0.0=−0.0, null=null."""
+    r, by = key_case(spark, case)
+    (keys,) = r.agg(F.count_distinct(F.struct(*by))).first()
+    assert distinct_keys(split_sorted(r, by)[0]) == keys
+
+
+def test_column_cast_keeps_null_apart_from_nan(spark):
+    r, by = key_case(spark, "null_nan")
+    assert column_cast(split_sorted(r, by)[0], "k") == ["None", "nan"]
+
+
 def test_column_cast_example_3_1(spark):
     # ∇O = (A, B, C) for relation r of Figure 1.
     r = spark.createDataFrame(
         pd.DataFrame({"O": ["A", "C", "D", "B"], "V": [30, 22, 10, 10], "W": [1, 5, 2, 1]})
     )
-    assert column_cast(r, "O") == ["A", "B", "C", "D"]
+    assert column_cast(split_sorted(r, ["O"])[0], "O") == ["A", "B", "C", "D"]
 
 
 def test_column_cast_numeric_values_become_names(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": [2.0, 1.0], "v": [1.0, 2.0]}))
-    assert column_cast(r, "k") == ["1", "2"]
+    assert column_cast(split_sorted(r, ["k"])[0], "k") == ["1", "2"]
 
 
 def test_column_cast_duplicate_values_raise(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": [1, 1], "v": [1.0, 2.0]}))
     with pytest.raises(ValueError, match="duplicate"):
-        column_cast(r, "k")
+        column_cast(split_sorted(r, ["k"])[0], "k")
 
 
 def test_schema_cast_example_3_2():

@@ -1,7 +1,9 @@
 """Input validation: order schemas must be keys, application parts numeric."""
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
+from helpers import KEY_CASES, key_case, make_rel, spark_jobs
 from repro.core import ops
 
 
@@ -35,6 +37,12 @@ def test_shared_input_key_check(dup_key):
 def test_key_check_skippable_for_benchmarks(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": ["a", "b"], "v": [1.0, 2.0], "w": [0.0, 1.0]}))
     assert ops.qqr(r, ["k"], validate=False).count() == 2
+
+
+def test_spark_mmu_checks_its_collected_operand(spark, dup_key):
+    r = spark.createDataFrame(pd.DataFrame({"i": ["x", "y"], "p": [1.0, 2.0], "q": [3.0, 4.0], "u": [0.0, 1.0]}))
+    with pytest.raises(ValueError, match="does not form a key"):
+        ops.mmu(r, dup_key, ["i"], ["k"], backend="spark")
 
 
 def test_binary_key_check_covers_both_sides(spark, dup_key):
@@ -89,3 +97,62 @@ def test_unknown_order_attribute(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": ["a"], "v": [1.0]}))
     with pytest.raises(ValueError, match="not in schema"):
         ops.qqr(r, ["missing"])
+
+
+@pytest.mark.parametrize("case", [c for c in KEY_CASES if c != "empty"])
+def test_local_key_check_agrees_with_spark(spark, case):
+    """The key check on the collected copy gives the verdict of ``count(1) == count(DISTINCT struct(U))``."""
+    r, by = key_case(spark, case)
+    n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+    if n == keys:
+        assert ops.rnk(r, by, backend="local").count() == 1
+    else:
+        with pytest.raises(ValueError, match="does not form a key"):
+            ops.rnk(r, by, backend="local")
+
+
+def _jobs(spark, fn):
+    with spark_jobs(spark) as jobs:
+        fn()
+    return jobs()
+
+
+@pytest.fixture
+def rel_pair(spark):
+    r, _ = make_rel(spark, 30, 3, seed=1)
+    s, _ = make_rel(spark, 30, 2, seed=2, prefix="b")
+    return r, s
+
+
+@pytest.mark.parametrize("op", ["qqr", "tra", "cpd"])
+def test_local_call_collects_each_input_once(spark, rel_pair, op):
+    """A local call costs one plain collect per input; validating it starts no job."""
+    r, s = rel_pair
+    inputs = [r, s] if op == "cpd" else [r]
+    call = {
+        "qqr": lambda v: ops.qqr(r, "id", validate=v),
+        "tra": lambda v: ops.tra(r, "id", validate=v),
+        "cpd": lambda v: ops.cpd(r, s, "id", "id", validate=v),
+    }[op]
+    collects = sum(_jobs(spark, lambda: x.select(*x.columns).toPandas()) for x in inputs)
+    assert _jobs(spark, lambda: call(True)) == _jobs(spark, lambda: call(False)) == collects
+
+
+@pytest.mark.parametrize("op", ["add", "cpd", "mmu"])
+def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
+    """Inputs that stay in the engine are validated by one aggregation each.
+
+    The spark ``mmu`` copies its right operand to the driver, so only its
+    left operand pays an aggregation.
+    """
+    r, s = rel_pair
+    s = s.select(s["id"].alias("id2"), s["b00"].alias("a00"), s["b01"].alias("a01"), F.lit(1.0).alias("a02"))
+    t, _ = make_rel(spark, 3, 2, seed=3, key="id2", prefix="b")  # 3 rows: one per attribute of r
+    inputs, call = {
+        "add": ([(r, "id"), (s, "id2")], lambda v: ops.add(r, s, "id", "id2", validate=v)),
+        "cpd": ([(r, "id")], lambda v: ops.cpd(r, r, "id", "id", validate=v)),  # r once
+        "mmu": ([(r, "id")], lambda v: ops.mmu(r, t, "id", "id2", backend="spark", validate=v)),
+    }[op]
+    aggs = sum(_jobs(spark, lambda: x.agg(F.count(F.lit(1)), F.count_distinct(F.struct(by))).first())
+               for x, by in inputs)
+    assert _jobs(spark, lambda: call(True)) - _jobs(spark, lambda: call(False)) == aggs
