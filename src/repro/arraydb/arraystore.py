@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.constructors import application_schema
+from repro.core.constructors import application_schema, row_position
 
 
 def to_array(r: DataFrame, by: Sequence[str]) -> DataFrame:
@@ -32,8 +32,7 @@ def to_array(r: DataFrame, by: Sequence[str]) -> DataFrame:
     """
     by = [by] if isinstance(by, str) else list(by)
     app = application_schema(r, by)
-    w = Window.orderBy(*[F.col(c).asc() for c in by])
-    indexed = r.withColumn("i", F.row_number().over(w) - F.lit(1))
+    indexed = r.withColumn("i", row_position(by) - F.lit(1))
     cells = indexed.select(
         "i",
         F.explode(

@@ -87,7 +87,6 @@ def gram_schmidt_qr(b: Sequence[np.ndarray]) -> tuple[Bats, Bats]:
     k = len(q)
     if k == 0:
         return [], []
-    n = len(q[0])
     r = [np.zeros(k) for _ in range(k)]
     for j in range(k):
         for i in range(j):
@@ -99,7 +98,6 @@ def gram_schmidt_qr(b: Sequence[np.ndarray]) -> tuple[Bats, Bats]:
             raise ValueError(f"rank-deficient input: column {j} is in the span of previous columns")
         r[j][j] = norm
         q[j] = q[j] / norm
-    _ = n
     return q, r
 
 

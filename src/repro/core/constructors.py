@@ -10,6 +10,8 @@
   (:func:`matrix_constructor_complement`) takes the application part.
 - relation constructor ``γ(m, R)`` (:func:`relation_constructor`): turns
   a matrix plus a schema back into a relation (Spark DataFrame).
+- row position (:func:`row_position`): row ``i`` of ``μ_U(r)`` as an
+  engine column, for aligning relations without leaving Spark.
 
 The constructors are the bridge between unordered relations and ordered
 matrices; every relational matrix operation in :mod:`repro.core.ops` is
@@ -21,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import Column, DataFrame, SparkSession, Window
+from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 #: Spark types whose nulls the pandas conversion turns into NaN, a value they also hold.
@@ -114,6 +117,16 @@ def _ranks(col: pd.Series) -> np.ndarray:
     ranks = np.full(len(col), -1, dtype=np.int64)
     ranks[~null] = np.unique(vals, return_inverse=True)[1]  # -0.0 == 0.0; NaN last, as one value
     return ranks
+
+
+def row_position(by: Sequence[str]) -> Column:
+    """Engine-side 1-based position of a row in ``μ_U(r)``: row ``i`` of the matrix.
+
+    ``row_number()`` over ``by`` ascending (Spark's order: nulls first),
+    the engine counterpart of the driver-side sort of :func:`split_sorted`.
+    The window is unpartitioned, so Spark moves every row to one partition.
+    """
+    return F.row_number().over(Window.orderBy(*[F.col(c).asc() for c in by]))
 
 
 def matrix_constructor(r: DataFrame, by: Sequence[str]) -> np.ndarray:

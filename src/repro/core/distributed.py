@@ -1,23 +1,23 @@
-"""Distributed ("BAT-like") kernels for relational matrix operations.
+"""Distributed kernels for relational matrix operations on Spark.
 
 The paper's RMA+BAT backend computes base results with columnar engine
-operations instead of copying to MKL. The Spark analogues here stay in
-the engine (Catalyst expressions, ``mapInPandas``) and never collect the
-application part to the driver:
+operations instead of copying to MKL. The Spark analogues here run in
+the engine (Catalyst expressions, ``mapInPandas``); only small matrices
+reach the driver: Gram results, and the right operand of ``mmu``.
 
 - :func:`zip_linear` — ``add``/``sub``/``emu`` by pairing the i-th
   sorted row of each input (positional) or by joining on equal order
   keys (the paper's §8.1 sort-avoidance optimisation);
 - :func:`gram` — ``AᵀB`` via per-partition partial Gram matrices
   (exact; addition is permutation-invariant so no sort is needed);
-- :func:`sol_normal` — ``sol`` from two partial Gram matrices;
-- :func:`qqr_rows` — CholeskyQR: ``R`` from the Gram matrix, then each
-  row's Q values computed in place with a broadcast ``R⁻¹`` (again no
-  global sort: row i of Q belongs to row i of the input, wherever it
-  lives);
+- :func:`sol_normal` — ``sol`` from one partial Gram of ``[A | b]``;
 - :func:`mmu_rows` — matrix multiply with a broadcast right operand
   (the right operand of ``mmu`` has as many *rows* as the left has
-  columns, so it is always small).
+  columns, so it is always small);
+- :func:`qqr_rows` — CholeskyQR: ``R`` from the Gram matrix, then each
+  row's Q values through the ``mmu`` kernel with ``R⁻¹`` as the right
+  operand (no global sort: row i of Q belongs to row i of the input,
+  wherever it lives).
 """
 from __future__ import annotations
 
@@ -25,9 +25,11 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
+
+from repro.core.constructors import row_position
 
 _LINEAR: dict[str, Callable[[Column, Column], Column]] = {
     "add": lambda a, b: a + b,
@@ -36,25 +38,35 @@ _LINEAR: dict[str, Callable[[Column, Column], Column]] = {
 }
 
 
-def _indexed(r: DataFrame, by: Sequence[str], app: Sequence[str], prefix: str) -> DataFrame:
-    """Rename to collision-free names and add the sort position ``__rn``."""
-    w = Window.orderBy(*[F.col(f"{prefix}k{i}").asc() for i in range(len(by))])
-    sel = [F.col(c).alias(f"{prefix}k{i}") for i, c in enumerate(by)]
-    sel += [F.col(c).cast("double").alias(f"{prefix}a{i}") for i, c in enumerate(app)]
-    return r.select(*sel).withColumn("__rn", F.row_number().over(w))
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
 
 
-def zip_linear(
-    r: DataFrame,
-    by: Sequence[str],
-    s: DataFrame,
-    by2: Sequence[str],
-    app_r: Sequence[str],
-    app_s: Sequence[str],
-    op: str,
-    out_schema: Sequence[str],
-    align: str = "position",
-) -> DataFrame:
+def _renamed(r: DataFrame, by: Sequence[str], app: Sequence[str], side: str) -> DataFrame:
+    """Project ``r`` to collision-free names ``__{side}k*`` (keys) and ``__{side}a*`` (doubles)."""
+    sel = [F.col(c).alias(f"__{side}k{i}") for i, c in enumerate(by)]
+    sel += [F.col(c).cast("double").alias(f"__{side}a{i}") for i, c in enumerate(app)]
+    return r.select(*sel)
+
+
+def _aligned(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
+             s: DataFrame, by2: Sequence[str], app_s: Sequence[str], align: str) -> DataFrame:
+    """Pair the rows of ``r`` (``__ak*``/``__aa*``) with those of ``s`` (``__bk*``/``__ba*``).
+
+    ``align="position"`` pairs the i-th rows under the order schemas;
+    ``align="keys"`` joins on ``r.U = s.V`` (equal-length order schemas).
+    """
+    ra, sb = _renamed(r, by, app_r, "a"), _renamed(s, by2, app_s, "b")
+    if align == "keys":
+        return ra.join(sb, [ra[f"__ak{i}"] == sb[f"__bk{i}"] for i in range(len(by))], "inner")
+    ra = ra.withColumn("__rn", row_position(_names("__ak", len(by))))
+    sb = sb.withColumn("__rn", row_position(_names("__bk", len(by2))))
+    return ra.join(sb, "__rn", "inner")
+
+
+def zip_linear(r: DataFrame, by: Sequence[str], s: DataFrame, by2: Sequence[str],
+               app_r: Sequence[str], app_s: Sequence[str], op: str, out_schema: Sequence[str],
+               align: str = "position") -> DataFrame:
     """Distributed ``add``/``sub``/``emu`` with result schema ``U ∘ V ∘ Ū``.
 
     ``align="position"`` pairs rows by rank under the order schemas
@@ -64,80 +76,32 @@ def zip_linear(
     global sort (§8.1 optimisation).
     """
     f = _LINEAR[op]
-    k = len(app_r)
-    if align == "keys":
-        if len(by) != len(by2):
-            raise ValueError("key alignment requires order schemas of equal length")
-        ra = r.select(
-            *[F.col(c).alias(f"__ak{i}") for i, c in enumerate(by)],
-            *[F.col(c).cast("double").alias(f"__aa{i}") for i, c in enumerate(app_r)],
-        )
-        sb = s.select(
-            *[F.col(c).alias(f"__bk{i}") for i, c in enumerate(by2)],
-            *[F.col(c).cast("double").alias(f"__ba{i}") for i, c in enumerate(app_s)],
-        )
-        cond = [ra[f"__ak{i}"] == sb[f"__bk{i}"] for i in range(len(by))]
-        j = ra.join(sb, cond, "inner")
-    else:
-        ra = _indexed(r, by, app_r, "__a")
-        sb = _indexed(s, by2, app_s, "__b")
-        j = ra.join(sb, "__rn", "inner")
-    out = [F.col(f"__ak{i}") for i in range(len(by))]
-    out += [F.col(f"__bk{i}") for i in range(len(by2))]
-    out += [f(F.col(f"__aa{i}"), F.col(f"__ba{i}")) for i in range(k)]
+    out = [F.col(c) for c in [*_names("__ak", len(by)), *_names("__bk", len(by2))]]
+    out += [f(F.col(f"__aa{i}"), F.col(f"__ba{i}")) for i in range(len(app_r))]
+    j = _aligned(r, by, app_r, s, by2, app_s, align)
     return j.select(*[c.alias(n) for c, n in zip(out, out_schema)])
 
 
-def gram(
-    r: DataFrame,
-    app_r: Sequence[str],
-    s: DataFrame | None = None,
-    by: Sequence[str] | None = None,
-    by2: Sequence[str] | None = None,
-    app_s: Sequence[str] | None = None,
-) -> np.ndarray:
-    """``AᵀB`` (or ``AᵀA`` when ``s`` is None) via partial Gram sums.
+def _partial_gram(pairs: DataFrame, a_cols: list[str], b_cols: list[str]) -> np.ndarray:
+    """``AᵀB`` for columns ``a_cols`` and ``b_cols`` of ``pairs``, from partial sums.
 
-    The self case needs no row alignment at all; the binary case zips
-    rows positionally first (``cpd`` pairs the i-th sorted rows).
     Each partition emits ``(i, j, v)`` partial products; Spark sums them
     and the tiny ``k1×k2`` result is collected.
     """
-    if s is None:
-        pairs = r.select(*[F.col(c).cast("double").alias(f"__aa{i}") for i, c in enumerate(app_r)])
-        a_cols = [f"__aa{i}" for i in range(len(app_r))]
-        b_cols = a_cols
-    else:
-        assert by is not None and by2 is not None and app_s is not None
-        ra = _indexed(r, by, app_r, "__a")
-        sb = _indexed(s, by2, app_s, "__b")
-        pairs = ra.join(sb, "__rn", "inner")
-        a_cols = [f"__aa{i}" for i in range(len(app_r))]
-        b_cols = [f"__ba{i}" for i in range(len(app_s))]
     k1, k2 = len(a_cols), len(b_cols)
-
-    out_schema = T.StructType(
-        [
-            T.StructField("i", T.IntegerType()),
-            T.StructField("j", T.IntegerType()),
-            T.StructField("v", T.DoubleType()),
-        ]
-    )
 
     def partial(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         acc = np.zeros((k1, k2))
         seen = False
         for pdf in batches:
-            a = pdf[a_cols].to_numpy(dtype=np.float64)
-            b = pdf[list(b_cols)].to_numpy(dtype=np.float64)
-            acc += a.T @ b
+            acc += pdf[a_cols].to_numpy(dtype=np.float64).T @ pdf[b_cols].to_numpy(dtype=np.float64)
             seen = True
         if seen:
             ii, jj = np.meshgrid(np.arange(k1), np.arange(k2), indexing="ij")
             yield pd.DataFrame({"i": ii.ravel(), "j": jj.ravel(), "v": acc.ravel()})
 
     agg = (
-        pairs.mapInPandas(partial, schema=out_schema)
+        pairs.mapInPandas(partial, schema="i int, j int, v double")
         .groupBy("i", "j")
         .agg(F.sum("v").alias("v"))
         .collect()
@@ -148,24 +112,38 @@ def gram(
     return g
 
 
-def sol_normal(
-    r: DataFrame,
-    by: Sequence[str],
-    app_r: Sequence[str],
-    s: DataFrame,
-    by2: Sequence[str],
-    app_s: Sequence[str],
-) -> np.ndarray:
-    """``sol`` by the normal equations over partial Grams: ``x = (AᵀA)⁻¹ Aᵀb``."""
+def gram(r: DataFrame, app_r: Sequence[str], s: DataFrame | None = None,
+         by: Sequence[str] = (), by2: Sequence[str] = (), app_s: Sequence[str] = ()) -> np.ndarray:
+    """``AᵀB`` (or ``AᵀA`` when ``s`` is None) via partial Gram sums.
+
+    The self case needs no row alignment at all; the binary case pairs
+    rows positionally first (``cpd`` pairs the i-th sorted rows).
+    """
+    a_cols = _names("__aa", len(app_r))
+    if s is None:
+        return _partial_gram(_renamed(r, [], app_r, "a"), a_cols, a_cols)
+    pairs = _aligned(r, by, app_r, s, by2, app_s, "position")
+    return _partial_gram(pairs, a_cols, _names("__ba", len(app_s)))
+
+
+def sol_normal(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
+               s: DataFrame, by2: Sequence[str], app_s: Sequence[str]) -> np.ndarray:
+    """``sol`` by the normal equations ``x = (AᵀA)⁻¹ Aᵀb``.
+
+    ``AᵀA`` and ``Aᵀb`` are the two blocks of one partial Gram
+    ``Aᵀ[A | b]`` over the positionally paired rows.
+    """
     if len(app_s) != 1:
         raise ValueError(f"SOL right-hand side must be a single column, got {len(app_s)}")
-    return np.linalg.solve(gram(r, app_r), gram(r, app_r, s, by, by2, app_s))
+    a_cols = _names("__aa", len(app_r))
+    g = _partial_gram(_aligned(r, by, app_r, s, by2, app_s, "position"), a_cols, [*a_cols, "__ba0"])
+    return np.linalg.solve(g[:, :-1], g[:, -1:])
 
 
-def _chol_r(g: np.ndarray) -> np.ndarray:
-    """Upper-triangular R with ``RᵀR = G`` and positive diagonal."""
+def rqr_matrix(r: DataFrame, app_r: Sequence[str]) -> np.ndarray:
+    """R factor of the QR decomposition (``RᵀR = AᵀA``, positive diagonal), without any sort."""
     try:
-        return np.linalg.cholesky(g).T
+        return np.linalg.cholesky(gram(r, app_r)).T
     except np.linalg.LinAlgError as e:
         raise ValueError(
             "distributed qqr/rqr (CholeskyQR) requires a full-rank "
@@ -173,45 +151,18 @@ def _chol_r(g: np.ndarray) -> np.ndarray:
         ) from None
 
 
-def rqr_matrix(r: DataFrame, app_r: Sequence[str]) -> np.ndarray:
-    """R factor of the QR decomposition, computed without any sort."""
-    return _chol_r(gram(r, app_r))
-
-
 def qqr_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str]) -> DataFrame:
     """CholeskyQR: result relation with schema ``U ∘ Ū`` (Q values).
 
-    Two engine passes: one for the Gram matrix, one ``mapInPandas``
-    multiplying each row block by the broadcast ``R⁻¹``. Rows keep their
+    Two engine passes: one for the Gram matrix, one multiplying each row
+    block by the broadcast ``R⁻¹`` (the ``mmu`` kernel). Rows keep their
     own contextual values, so no global sort is required.
     """
-    r_inv = np.linalg.inv(rqr_matrix(r, app_r))
-    b_rinv = r.sparkSession.sparkContext.broadcast(r_inv)
-    in_fields = {f.name: f for f in r.schema.fields}
-    out_schema = T.StructType(
-        [in_fields[c] for c in by] + [T.StructField(c, T.DoubleType()) for c in app_r]
-    )
-    by_l, app_l = list(by), list(app_r)
-
-    def to_q(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            a = pdf[app_l].to_numpy(dtype=np.float64)
-            q = a @ b_rinv.value
-            out = pdf[by_l].reset_index(drop=True)
-            for i, c in enumerate(app_l):
-                out[c] = q[:, i]
-            yield out
-
-    return r.select(*by_l, *app_l).mapInPandas(to_q, schema=out_schema)
+    return mmu_rows(r, by, app_r, np.linalg.inv(rqr_matrix(r, app_r)), app_r)
 
 
-def mmu_rows(
-    r: DataFrame,
-    by: Sequence[str],
-    app_r: Sequence[str],
-    right: np.ndarray,
-    out_app: Sequence[str],
-) -> DataFrame:
+def mmu_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
+             right: np.ndarray, out_app: Sequence[str]) -> DataFrame:
     """``mmu`` with a broadcast right matrix: schema ``U ∘ V̄``.
 
     ``right`` is the (already U-sorted) ``j1×j2`` matrix of the second

@@ -175,6 +175,8 @@ def _apply(
     backend = _backend(op, backend, shared)
     if align not in _ALIGNS:
         raise ValueError(f"{op}: unknown align {align!r}; use one of {list(_ALIGNS)}")
+    if align == "keys" and len(by) != len(by2):
+        raise ValueError(f"{op}: key alignment requires order schemas of equal length")
     app_r = _application(r, by, op)
     app_s = _application(s, by2, op) if st.binary else []
     cast = {Dim.R1: by, Dim.R2: by2}.get(st.cols)  # result columns named by ∇ of this order schema

@@ -5,6 +5,7 @@ result is interchangeable. All backends must produce the same relation.
 """
 import numpy as np
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import ops
 
@@ -18,15 +19,40 @@ def _cmp(a, b, by, cols, atol=1e-8):
     assert np.allclose(pa[cols].to_numpy(dtype=float), pb[cols].to_numpy(dtype=float), atol=atol)
 
 
-@pytest.mark.parametrize("op", ["add", "sub", "emu"])
-@pytest.mark.parametrize("align", ["position", "keys"])
-def test_linear_spark_matches_local(rel_factory, op, align):
-    r, _ = rel_factory(40, 3, seed=1)
-    s, _ = rel_factory(40, 3, seed=2, key="id2", prefix="b")
+def _two_keys(r, key, names):
+    """Replace order attribute ``key`` (``k`` + 3 digits) by a string and an int attribute.
+
+    The pair (last digit, first two digits) is a key that sorts the rows in
+    another order than ``key``; the result is spread over three partitions.
+    """
+    rest = [c for c in r.columns if c != key]
+    g, n = F.substring(key, 4, 1).alias(names[0]), F.substring(key, 2, 2).cast("int").alias(names[1])
+    return r.select(g, n, *rest).repartition(3)
+
+
+def _pair(rel_factory, n, k_r, k_s, seed, two_keys):
+    """Relations r (key ``id``) and s (key ``id2``) with their order schemas."""
+    r, _ = rel_factory(n, k_r, seed=seed)
+    s, _ = rel_factory(n, k_s, seed=seed + 1, key="id2", prefix="b")
+    if not two_keys:
+        return r, s, ["id"], ["id2"]
+    return _two_keys(r, "id", ["g", "i"]), _two_keys(s, "id2", ["g2", "i2"]), ["g", "i"], ["g2", "i2"]
+
+
+_LINEAR_CASES = [
+    *[pytest.param(op, align, False, id=f"{align}-{op}")
+      for align in ("position", "keys") for op in ("add", "sub", "emu")],
+    *[pytest.param("add", align, True, id=f"{align}-add-two_keys") for align in ("position", "keys")],
+]
+
+
+@pytest.mark.parametrize("op,align,two_keys", _LINEAR_CASES)
+def test_linear_spark_matches_local(rel_factory, op, align, two_keys):
+    r, s, by, by2 = _pair(rel_factory, 40, 3, 3, 1, two_keys)
     f = getattr(ops, op)
-    spark_out = f(r, s, ["id"], ["id2"], backend="spark", align=align)
-    local_out = f(r, s, ["id"], ["id2"], backend="local")
-    _cmp(spark_out, local_out, ["id"], ["a00", "a01", "a02"])
+    spark_out = f(r, s, by, by2, backend="spark", align=align)
+    local_out = f(r, s, by, by2, backend="local")
+    _cmp(spark_out, local_out, by, ["a00", "a01", "a02"])
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "emu"])
@@ -113,6 +139,14 @@ def test_sol_spark_matches_local(rel_factory):
         ["y00"],
         atol=1e-6,
     )
+
+
+@pytest.mark.parametrize("op,k_s,cols", [("cpd", 2, ["b00", "b01"]), ("sol", 1, ["b00"])], ids=["cpd", "sol"])
+def test_gram_spark_matches_local_two_attribute_keys(rel_factory, op, k_s, cols):
+    """Binary ``cpd`` and ``sol`` pair rows in the engine under a string + int order schema."""
+    r, s, by, by2 = _pair(rel_factory, 60, 3, k_s, 11, True)
+    f = ops.BINARY_OPS[op]
+    _cmp(f(r, s, by, by2, backend="spark"), f(r, s, by, by2, backend="local"), ["C"], cols, atol=1e-6)
 
 
 def test_gram_exact_across_partitions(spark, rel_factory):

@@ -6,7 +6,7 @@ import pytest
 from repro.core import matrix_ops as M
 from repro.core import ops
 
-from helpers import sorted_matrix
+from helpers import sorted_matrix, spark_jobs
 
 
 @pytest.mark.parametrize("op", ["add", "sub", "emu"])
@@ -58,6 +58,15 @@ def test_linear_count_mismatch_raises(rel_factory, op, backend, k):
     s, _ = rel_factory(4, k, seed=2, key="id2")
     with pytest.raises(ValueError, match="same number of tuples"):
         ops.BINARY_OPS[op](r, s, ["id"], ["id2"], backend=backend)
+
+
+def test_key_alignment_needs_equal_length_order_schemas(spark):
+    """Checked up front, before any Spark job, with the operation named."""
+    r = spark.createDataFrame(pd.DataFrame({"k": ["a", "b"], "v": [1.0, 2.0]}))
+    s = spark.createDataFrame(pd.DataFrame({"k1": ["a", "b"], "k2": [1, 2], "w": [1.0, 2.0]}))
+    with spark_jobs(spark) as jobs, pytest.raises(ValueError, match=r"add: key alignment"):
+        ops.add(r, s, ["k"], ["k1", "k2"], align="keys")
+    assert jobs() == 0
 
 
 @pytest.mark.parametrize("n,k,j", [(4, 2, 3), (5, 3, 1)])
