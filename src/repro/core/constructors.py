@@ -15,20 +15,19 @@
 
 The constructors are the bridge between unordered relations and ordered
 matrices; every relational matrix operation in :mod:`repro.core.ops` is
-defined through them exactly as in Table 2 of the paper.
+defined through them exactly as in Table 2 of the paper. Data crosses
+between Spark and the driver as Arrow tables, whose validity bitmaps keep
+a null apart from every value (NaN included), so an order part keeps the
+Spark type and value of every origin.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
-from pyspark.sql import types as T
-
-#: Spark types whose nulls the pandas conversion turns into NaN, a value they also hold.
-_NAN_TYPES = (T.FloatType, T.DoubleType)
 
 
 def application_schema(r: DataFrame, by: Sequence[str]) -> list[str]:
@@ -45,77 +44,56 @@ def application_schema(r: DataFrame, by: Sequence[str]) -> list[str]:
     return [c for c in r.columns if c not in set(by)]
 
 
-def split_sorted(r: DataFrame, by: Sequence[str]) -> tuple[pd.DataFrame, np.ndarray]:
+def split_sorted(r: DataFrame, by: Sequence[str]) -> tuple[pa.Table, np.ndarray]:
     """Split ``r`` into (order part, application part) sorted by ``by``.
 
-    Returns the order part as a pandas frame (contextual values, kept as
-    relation columns) and the application part as a float64 matrix — the
-    results of ``μ_U(r)`` and ``μ̄_U(r)``. This is the "copy to MKL
-    format" step of the paper's RMA+MKL backend; its cost is what §8.5
-    measures. The copy is one unsorted collect (no range sort, so no
-    sampling job or shuffle of its own); the rows are then sorted on the
-    driver, stably and in Spark's ascending order: nulls first, NaN after
-    every number, ``-0.0`` equal to ``0.0``, strings by code point. A null
-    in a floating-point or integral order attribute stays null (a masked
-    ``Float`` column), apart from NaN.
+    Returns the order part as an Arrow table (contextual values, kept as
+    relation columns with their Spark type) and the application part as a
+    float64 matrix — the results of ``μ_U(r)`` and ``μ̄_U(r)``. This is the
+    "copy to MKL format" step of the paper's RMA+MKL backend; its cost is
+    what §8.5 measures. The copy is one unsorted Arrow collect (no range
+    sort, so no sampling job or shuffle of its own); the rows are then
+    sorted on the driver, stably and in Spark's ascending order: nulls
+    first, NaN after every number, ``-0.0`` equal to ``0.0``, strings by
+    code point.
     """
     by = list(by)
     app = application_schema(r, by)
-    types = {f.name: f.dataType for f in r.schema.fields}
-    nan_keys = [c for c in by if isinstance(types[c], _NAN_TYPES)]
-    # Columns are read by position: the null flags follow r's own columns, so
-    # their names cannot clash, and no per-column projection has to be planned.
-    pdf = r.select("*", *[r[c].isNull() for c in nan_keys]).toPandas()
-    at = {c: j for j, c in enumerate(r.columns)}
-    flag = {c: len(at) + j for j, c in enumerate(nan_keys)}
-    order = {}
-    for c in by:
-        col = pdf.iloc[:, at[c]]
-        if col.dtype.kind == "f":  # pandas turned nulls into NaN
-            null = pdf.iloc[:, flag[c]] if c in flag else col.isna()
-            if null.any():
-                col = pd.Series(pd.arrays.FloatingArray(col.to_numpy(), null.to_numpy(dtype=bool)))
-        order[c] = col
-    ranks = [_ranks(col) for col in order.values()]
-    perm = np.lexsort(ranks[::-1]) if ranks else np.arange(len(pdf))
-    order_part = pd.DataFrame(order, index=pdf.index).take(perm).reset_index(drop=True)
-    # Gather column by column: permuting the whole frame would hold a second
-    # copy of it. Column-major like a pandas float block, because BLAS kernels
-    # round differently on other layouts.
-    m = np.empty((len(pdf), len(app)), order="F")
+    t = r.toArrow()
+    perm = np.lexsort([_ranks(t[c]) for c in reversed(by)]) if by else np.arange(t.num_rows)
+    # A table without columns keeps its row count, but not through take.
+    order = t.select(by).take(perm) if by else t.select(by)
+    # Gather column by column: permuting the whole table would hold a second
+    # copy of it. Column-major, because BLAS kernels round differently on
+    # other layouts.
+    m = np.empty((t.num_rows, len(app)), order="F")
     for j, c in enumerate(app):
-        m[:, j] = pdf.iloc[:, at[c]].to_numpy(dtype=np.float64)[perm]
-    return order_part, m
+        m[:, j] = t[c].to_numpy()[perm]
+    return order, m
 
 
-def distinct_keys(order: pd.DataFrame) -> int:
+def distinct_keys(order: pa.Table) -> int:
     """``count(DISTINCT struct(U))`` of an order part from :func:`split_sorted`.
 
     Counted on the driver with Spark's grouping equality: null equals
     null but not NaN, NaN equals NaN, ``-0.0`` equals ``0.0``.
     """
-    if order.shape[1] == 0:
-        return min(len(order), 1)
-    ranks = np.column_stack([_ranks(order[c]) for c in order.columns])
+    if order.num_columns == 0:
+        return min(order.num_rows, 1)
+    ranks = np.column_stack([_ranks(col) for col in order.columns])
     return len(np.unique(ranks, axis=0))
 
 
-def _ranks(col: pd.Series) -> np.ndarray:
+def _ranks(col: pa.ChunkedArray) -> np.ndarray:
     """Dense ranks of ``col`` in Spark's ascending order; nulls rank ``-1``.
 
-    Equal ranks mean equal grouping keys. A plain (unmasked) float column
-    holds no nulls here (:func:`split_sorted` masks them), so its NaN are
-    values: they rank last and equal each other.
+    Equal ranks mean equal grouping keys. NaN is a value, not a null: it
+    ranks after every number, and all NaN rank equal. Integral values are
+    ranked as integers, so no two of them meet through a float.
     """
-    if col.dtype.kind == "f":
-        masked = isinstance(col.dtype, pd.api.extensions.ExtensionDtype)
-        null = col.isna().to_numpy() if masked else np.zeros(len(col), dtype=bool)
-        vals = col.to_numpy(dtype=np.float64, na_value=np.nan)[~null]
-    else:
-        null = col.isna().to_numpy()
-        vals = col.to_numpy()[~null]
+    null = col.is_null().to_numpy()
     ranks = np.full(len(col), -1, dtype=np.int64)
-    ranks[~null] = np.unique(vals, return_inverse=True)[1]  # -0.0 == 0.0; NaN last, as one value
+    ranks[~null] = np.unique(col.drop_null().to_numpy(), return_inverse=True)[1]  # -0.0 == 0.0
     return ranks
 
 
@@ -131,7 +109,7 @@ def row_position(by: Sequence[str]) -> Column:
 
 def matrix_constructor(r: DataFrame, by: Sequence[str]) -> np.ndarray:
     """``μ_U(r)``: matrix of the values of ``r.U`` sorted by ``U`` (Def. 4.2)."""
-    return split_sorted(r.select(*by), by)[0].to_numpy()
+    return np.column_stack(split_sorted(r.select(*by), by)[0].columns)
 
 
 def matrix_constructor_complement(r: DataFrame, by: Sequence[str]) -> np.ndarray:
@@ -139,7 +117,7 @@ def matrix_constructor_complement(r: DataFrame, by: Sequence[str]) -> np.ndarray
     return split_sorted(r, by)[1]
 
 
-def column_cast(order: pd.DataFrame, attr: str) -> list[str]:
+def column_cast(order: pa.Table, attr: str) -> list[str]:
     """``∇U``: sorted values of key attribute ``attr``, as column names (Eq. 2).
 
     ``order`` is a sorted order part from :func:`split_sorted`. Applicable
@@ -147,7 +125,7 @@ def column_cast(order: pd.DataFrame, attr: str) -> list[str]:
     be unique after stringification because they become attribute names
     of the result schema.
     """
-    names = [_to_name(v) for v in order[attr].tolist()]
+    names = [_to_name(v) for v in order[attr].to_pylist()]
     if len(set(names)) != len(names):
         raise ValueError(
             f"column cast of {attr!r} yields duplicate attribute names; "
@@ -163,8 +141,6 @@ def schema_cast(attrs: Sequence[str]) -> np.ndarray:
 
 def _to_name(v) -> str:
     """Render an order-part value as a result attribute name."""
-    if v is pd.NA or v is pd.NaT:
-        return str(None)
     if isinstance(v, float) and v.is_integer():
         return str(int(v))
     return str(v)
@@ -172,15 +148,16 @@ def _to_name(v) -> str:
 
 def relation_constructor(
     spark: SparkSession,
-    parts: Sequence[np.ndarray | pd.DataFrame],
+    parts: Sequence[np.ndarray | pa.Table],
     schema: Sequence[str],
 ) -> DataFrame:
     """``γ(m, R)``: build a relation from concatenated matrices (Def. 4.4).
 
-    ``parts`` are matrices/frames with equal row counts; their columnwise
-    concatenation (the ``□`` of Eq. 3) is zipped with attribute names
-    ``schema``. Numeric parts become doubles; contextual parts keep
-    their values. Raises if attribute names collide — the relation
+    ``parts`` are matrices and order parts (Arrow tables) with equal row
+    counts; their columnwise concatenation (the ``□`` of Eq. 3) is zipped
+    with attribute names ``schema``. Numeric matrices become doubles,
+    other matrices keep their values, and order parts keep their Spark
+    types and values. Raises if attribute names collide — the relation
     constructor requires a well-formed schema.
     """
     names = list(schema)
@@ -190,29 +167,20 @@ def relation_constructor(
             f"result schema has duplicate attributes {dupes}; rename "
             "(ρ) argument attributes so origins stay distinguishable"
         )
-    cols: dict[str, object] = {}
-    n_rows = None
-    i = 0
+    cols: list[tuple[pa.Field | None, pa.Array | pa.ChunkedArray]] = []
     for part in parts:
-        if isinstance(part, pd.DataFrame):
-            block = part.reset_index(drop=True)
-            block_cols = [block[c] for c in block.columns]
-        else:
-            arr = np.asarray(part)
-            if arr.ndim == 1:
-                arr = arr.reshape(-1, 1)
-            block_cols = [arr[:, j] for j in range(arr.shape[1])]
-        for col in block_cols:
-            if n_rows is None:
-                n_rows = len(col)
-            elif len(col) != n_rows:
-                raise ValueError("matrix concatenation requires equal row counts")
-            cols[names[i]] = col
-            i += 1
-    if i != len(names):
-        raise ValueError(f"schema has {len(names)} attributes but parts supply {i} columns")
-    pdf = pd.DataFrame(cols if cols else {}, columns=names)
-    for c in pdf.columns:
-        if pd.api.types.is_numeric_dtype(pdf[c]):
-            pdf[c] = pdf[c].astype(np.float64)
-    return spark.createDataFrame(pdf)
+        if isinstance(part, pa.Table):
+            cols += zip(part.schema, part.columns)
+            continue
+        arr = np.asarray(part)
+        if arr.ndim == 1:
+            arr = arr.reshape(-1, 1)
+        if arr.dtype.kind in "biuf":
+            arr = arr.astype(np.float64)
+        cols += [(None, pa.array(col)) for col in arr.T]
+    if len({len(col) for _, col in cols}) > 1:
+        raise ValueError("matrix concatenation requires equal row counts")
+    if len(cols) != len(names):
+        raise ValueError(f"schema has {len(names)} attributes but parts supply {len(cols)} columns")
+    fields = [pa.field(n, col.type) if f is None else f.with_name(n) for n, (f, col) in zip(names, cols)]
+    return spark.createDataFrame(pa.Table.from_arrays([col for _, col in cols], schema=pa.schema(fields)))

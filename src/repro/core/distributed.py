@@ -2,8 +2,10 @@
 
 The paper's RMA+BAT backend computes base results with columnar engine
 operations instead of copying to MKL. The Spark analogues here run in
-the engine (Catalyst expressions, ``mapInPandas``); only small matrices
-reach the driver: Gram results, and the right operand of ``mmu``.
+the engine (Catalyst expressions, ``mapInArrow``); only small matrices
+reach the driver: Gram results, and the right operand of ``mmu``. A
+``mapInArrow`` function runs on the Python workers, which may not import
+this package: its body uses only numpy, pyarrow and its own locals.
 
 - :func:`zip_linear` — ``add``/``sub``/``emu`` by pairing the i-th
   sorted row of each input (positional) or by joining on equal order
@@ -24,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
@@ -90,18 +92,20 @@ def _partial_gram(pairs: DataFrame, a_cols: list[str], b_cols: list[str]) -> np.
     """
     k1, k2 = len(a_cols), len(b_cols)
 
-    def partial(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def partial(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         acc = np.zeros((k1, k2))
         seen = False
-        for pdf in batches:
-            acc += pdf[a_cols].to_numpy(dtype=np.float64).T @ pdf[b_cols].to_numpy(dtype=np.float64)
+        for b in batches:
+            # Column-major n×k blocks: BLAS rounds differently on other layouts.
+            a = np.array([b[c].to_numpy(zero_copy_only=False) for c in a_cols]).T
+            acc += a.T @ np.array([b[c].to_numpy(zero_copy_only=False) for c in b_cols]).T
             seen = True
         if seen:
             ii, jj = np.meshgrid(np.arange(k1), np.arange(k2), indexing="ij")
-            yield pd.DataFrame({"i": ii.ravel(), "j": jj.ravel(), "v": acc.ravel()})
+            yield pa.RecordBatch.from_arrays([ii.ravel(), jj.ravel(), acc.ravel()], names=["i", "j", "v"])
 
     agg = (
-        pairs.mapInPandas(partial, schema="i int, j int, v double")
+        pairs.mapInArrow(partial, schema="i long, j long, v double")
         .groupBy("i", "j")
         .agg(F.sum("v").alias("v"))
         .collect()
@@ -181,12 +185,10 @@ def mmu_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
     )
     by_l, app_l, out_l = list(by), list(app_r), list(out_app)
 
-    def mul(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            prod = pdf[app_l].to_numpy(dtype=np.float64) @ b_right.value
-            out = pdf[by_l].reset_index(drop=True)
-            for i, c in enumerate(out_l):
-                out[c] = prod[:, i]
-            yield out
+    def mul(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
+        for b in batches:
+            a = np.array([b[c].to_numpy(zero_copy_only=False) for c in app_l], dtype=np.float64).T
+            prod = a @ b_right.value
+            yield pa.RecordBatch.from_arrays([*(b[c] for c in by_l), *prod.T], names=[*by_l, *out_l])
 
-    return r.select(*by_l, *app_l).mapInPandas(mul, schema=out_schema)
+    return r.select(*by_l, *app_l).mapInArrow(mul, schema=out_schema)

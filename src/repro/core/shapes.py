@@ -59,10 +59,6 @@ SHAPE_TYPES: dict[str, ShapeType] = {
     "rnk": ShapeType(Dim.ONE, Dim.ONE, binary=False),
 }
 
-#: Operations whose argument matrix must be square (rows == cols).
-SQUARE_INPUT_OPS = frozenset({"inv", "evc", "evl", "chf", "det"})
-
-
 def shape_type(op: str) -> ShapeType:
     """Look up the shape type of matrix/RMA operation ``op`` (lowercase)."""
     try:

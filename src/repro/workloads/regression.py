@@ -52,9 +52,9 @@ def ols(
     v_rel = r.select(*by, F.col(y_col).cast("double").alias(y_col))
 
     gram = ops.cpd(a_rel, a_rel, by, by, backend=backend)
-    gram_inv = ops.inv(gram, ["C"], validate=False)
+    gram_inv = ops.inv(gram, ["C"])
     xty = ops.cpd(a_rel, v_rel, by, by, backend=backend)
-    beta = ops.mmu(gram_inv, xty, ["C"], ["C"], validate=False)
+    beta = ops.mmu(gram_inv, xty, ["C"], ["C"])
 
     back = {v: k for k, v in canon_all.items()}
     mapping = F.create_map(*[x for kv in back.items() for x in (F.lit(kv[0]), F.lit(kv[1]))])

@@ -64,6 +64,7 @@ KEY_CASES = {
     "zeros": ("k double, v double", [(0.0, 1.0), (-0.0, 2.0)]),
     "nulls": ("k double, v double", [(None, 1.0), (None, 2.0)]),
     "long_null": ("k long, v double", [(7, 1.0), (None, 2.0), (-3, 3.0)]),
+    "big_long": ("k long, v double", [(2**53, 1.0), (2**53 + 1, 2.0), (None, 3.0)]),
     "strings": ("k string, v double", [("é", 1.0), ("a", 2.0), (None, 3.0), ("ä", 4.0), ("Z", 5.0)]),
     "two_attrs": ("k1 string, k2 int, v double", [("b", 2, 1.0), ("a", 3, 2.0), ("b", 1, 3.0),
                                                   ("a", None, 4.0), ("a", 1, 5.0)]),

@@ -3,13 +3,20 @@
 The paper's point (§7.3, §8.5): the physical computation of the base
 result is interchangeable. All backends must produce the same relation.
 """
+import math
+import os
+import pathlib
+import subprocess
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core import ops
 
-from helpers import sorted_matrix
+from helpers import KEY_CASES, key_case, sorted_matrix
 
 
 def _cmp(a, b, by, cols, atol=1e-8):
@@ -147,6 +154,69 @@ def test_gram_spark_matches_local_two_attribute_keys(rel_factory, op, k_s, cols)
     r, s, by, by2 = _pair(rel_factory, 60, 3, k_s, 11, True)
     f = ops.BINARY_OPS[op]
     _cmp(f(r, s, by, by2, backend="spark"), f(r, s, by, by2, backend="local"), ["C"], cols, atol=1e-6)
+
+
+def _origin(v):
+    """A key value as a multiset element: NaN equals NaN but not null."""
+    return "NaN" if isinstance(v, float) and math.isnan(v) else v
+
+
+def _is_key(rows):
+    """Whether the order values (all but the last, ``v``) of non-empty ``rows`` form a key."""
+    keys = [tuple(map(_origin, row[:-1])) for row in rows]
+    return 0 < len(set(keys)) == len(keys)
+
+
+_ORIGIN_CALLS = [*[("qqr", b) for b in ("local", "spark", "bat")], *[("add", b) for b in ("local", "bat")]]
+
+
+@pytest.mark.parametrize("case", [c for c, (_, rows) in KEY_CASES.items() if _is_key(rows)])
+@pytest.mark.parametrize("op,backend", _ORIGIN_CALLS, ids=[f"{op}-{b}" for op, b in _ORIGIN_CALLS])
+def test_origins_keep_type_and_value(spark, case, op, backend):
+    """Every result row keeps the Spark type and exact value of its input's order attributes."""
+    r, by = key_case(spark, case)
+    r = r.coalesce(1)  # one Arrow batch holds the nulls and the values together
+    if op == "qqr":
+        out = ops.qqr(r, by, backend=backend)
+    else:
+        by2 = [f"{c}_2" for c in by]
+        s = r.select(*[F.col(c).alias(c2) for c, c2 in zip(by, by2)], "v")
+        out = ops.add(r, s, by, by2, backend=backend)
+    assert out.select(*by).schema == r.select(*by).schema
+
+    def keys(rel):
+        return Counter(tuple(_origin(row[c]) for c in by) for row in rel.select(*by).collect())
+
+    assert keys(out) == keys(r)
+
+
+#: Runs the mapInArrow kernels with ``src`` on the driver's ``sys.path`` only.
+_WORKER_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+from pyspark.sql import SparkSession
+from repro.core import ops
+
+spark = SparkSession.builder.getOrCreate()
+r = spark.createDataFrame([(f"k{{i}}", float(i), float(i * i % 7)) for i in range(20)], "id string, a double, b double")
+s = spark.createDataFrame([("a", 1.0, 2.0), ("b", 3.0, 4.0)], "k string, x double, y double")
+for out in (ops.qqr(r, ["id"], backend="spark"), ops.cpd(r, r, ["id"], ["id"]),
+            ops.mmu(r, s, ["id"], ["k"], backend="spark")):
+    assert out.count() > 0
+spark.stop()
+"""
+
+
+def test_spark_kernels_run_without_the_package_on_workers(tmp_path):
+    """Python workers need not import ``repro``: the kernels' bodies use only numpy and pyarrow."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYSPARK_PYTHON"] = sys.executable
+    env["PYSPARK_SUBMIT_ARGS"] = ("--master local[2] --driver-memory 1g --conf spark.driver.host=127.0.0.1 "
+                                  "--conf spark.ui.enabled=false pyspark-shell")
+    proc = subprocess.run([sys.executable, "-c", _WORKER_SCRIPT.format(src=str(src))], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-4000:]
 
 
 def test_gram_exact_across_partitions(spark, rel_factory):

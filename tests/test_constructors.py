@@ -47,7 +47,7 @@ def test_matrix_constructor_complement_fig3(weather_sel):
 
 def test_split_sorted_returns_both_parts(weather):
     order, m = split_sorted(weather, ["T"])
-    assert order["T"].tolist() == ["5am", "6am", "7am", "8am"]
+    assert order["T"].to_pylist() == ["5am", "6am", "7am", "8am"]
     assert m.tolist() == [[1.0, 3.0], [1.0, 4.0], [6.0, 7.0], [8.0, 5.0]]
 
 
@@ -59,15 +59,13 @@ def test_split_sorted_single_app_column_is_2d(weather):
 def test_split_sorted_multi_attr_order_schema(weather):
     order, m = split_sorted(weather, ["H", "T"])
     # sorted by (H, T): (1,5am), (1,6am), (6,7am), (8,8am)
-    assert order["T"].tolist() == ["5am", "6am", "7am", "8am"]
+    assert order["T"].to_pylist() == ["5am", "6am", "7am", "8am"]
     assert m[:, 0].tolist() == [3.0, 4.0, 7.0, 5.0]
 
 
 def _value(v):
-    """A key value compared across Spark rows and pandas cells: NaN equals NaN."""
-    if v is None or v is pd.NA:
-        return None
-    return "NaN" if isinstance(v, float) and math.isnan(v) else v
+    """A key value compared across Spark rows and order parts: NaN equals NaN; types must match."""
+    return "NaN" if isinstance(v, float) and math.isnan(v) else (type(v), v)
 
 
 @pytest.mark.parametrize("case", KEY_CASES)
@@ -77,8 +75,8 @@ def test_split_sorted_matches_spark_order(spark, case):
     # Spark's order made stable by the collect order of the rows.
     want = r.withColumn("_i", F.monotonically_increasing_id()).orderBy(*by, "_i").collect()
     order, m = split_sorted(r, by)
-    assert list(order.columns) == by
-    got_keys = [tuple(map(_value, row)) for row in order.itertuples(index=False)]
+    assert list(order.column_names) == by
+    got_keys = [tuple(map(_value, row.values())) for row in order.to_pylist()]
     assert got_keys == [tuple(_value(row[c]) for c in by) for row in want]
     assert m.shape == (len(want), 1)
     assert m[:, 0].tolist() == [row["v"] for row in want]

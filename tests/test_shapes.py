@@ -3,7 +3,6 @@ import pytest
 
 from repro.core.shapes import (
     SHAPE_TYPES,
-    SQUARE_INPUT_OPS,
     Dim,
     ShapeType,
     result_dims,
@@ -83,10 +82,6 @@ def test_arity(op, binary):
 )
 def test_result_dims_follow_table1(op, d1, d2, expected):
     assert result_dims(op, d1, d2) == expected
-
-
-def test_square_input_ops():
-    assert SQUARE_INPUT_OPS == {"inv", "evc", "evl", "chf", "det"}
 
 
 def test_unknown_op_raises():

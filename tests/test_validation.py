@@ -111,6 +111,14 @@ def test_local_key_check_agrees_with_spark(spark, case):
             ops.rnk(r, by, backend="local")
 
 
+def test_empty_order_schema_keys_at_most_one_tuple(spark):
+    """``U = ∅`` is a key of a relation with one tuple, and of none with two."""
+    r = spark.createDataFrame([(1.0,), (2.0,)], "v double")
+    with pytest.raises(ValueError, match="does not form a key"):
+        ops.rnk(r, [], backend="local")
+    assert ops.rnk(r.limit(1), [], backend="local").count() == 1
+
+
 def _jobs(spark, fn):
     with spark_jobs(spark) as jobs:
         fn()
