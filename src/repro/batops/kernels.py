@@ -81,20 +81,25 @@ def gram_schmidt_qr(b: Sequence[np.ndarray]) -> tuple[Bats, Bats]:
     R has k columns of length k. Operations per column: dot products
     (``sum(B1*B2)``) and axpy updates — all reducible to BAT primitives.
     The R diagonal is non-negative by construction, matching the
-    canonical form of :mod:`repro.core.matrix_ops`.
+    canonical form of :mod:`repro.core.matrix_ops`. A column whose
+    residual norm is at most ``n·u·‖a_j‖`` (``a_j`` the input column, ``u``
+    the unit roundoff) is in the span of the previous columns up to
+    rounding, so the input is rank-deficient and raises.
     """
     q = [np.asarray(c, dtype=np.float64).copy() for c in b]
     k = len(q)
     if k == 0:
         return [], []
+    tol = len(q[0]) * np.finfo(np.float64).eps / 2
     r = [np.zeros(k) for _ in range(k)]
     for j in range(k):
+        floor = tol * float(np.sqrt(np.dot(q[j], q[j])))
         for i in range(j):
             rij = float(np.dot(q[i], q[j]))
             r[j][i] = rij
             q[j] = q[j] - rij * q[i]
         norm = float(np.sqrt(np.dot(q[j], q[j])))
-        if norm == 0.0:
+        if norm <= floor:
             raise ValueError(f"rank-deficient input: column {j} is in the span of previous columns")
         r[j][j] = norm
         q[j] = q[j] / norm

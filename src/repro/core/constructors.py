@@ -44,7 +44,7 @@ def application_schema(r: DataFrame, by: Sequence[str]) -> list[str]:
     return [c for c in r.columns if c not in set(by)]
 
 
-def split_sorted(r: DataFrame, by: Sequence[str]) -> tuple[pa.Table, np.ndarray]:
+def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tuple[pa.Table, np.ndarray]:
     """Split ``r`` into (order part, application part) sorted by ``by``.
 
     Returns the order part as an Arrow table (contextual values, kept as
@@ -55,11 +55,15 @@ def split_sorted(r: DataFrame, by: Sequence[str]) -> tuple[pa.Table, np.ndarray]
     sort, so no sampling job or shuffle of its own); the rows are then
     sorted on the driver, stably and in Spark's ascending order: nulls
     first, NaN after every number, ``-0.0`` equal to ``0.0``, strings by
-    code point.
+    code point. A null application value reads as NaN; given ``op``, it
+    raises instead (found from Arrow's ``null_count``, with no pass over the
+    data).
     """
     by = list(by)
     app = application_schema(r, by)
     t = r.toArrow()
+    if op is not None:
+        check_no_nulls(op, [c for c in app if t[c].null_count])
     perm = np.lexsort([_ranks(t[c]) for c in reversed(by)]) if by else np.arange(t.num_rows)
     # A table without columns keeps its row count, but not through take.
     order = t.select(by).take(perm) if by else t.select(by)
@@ -70,6 +74,12 @@ def split_sorted(r: DataFrame, by: Sequence[str]) -> tuple[pa.Table, np.ndarray]
     for j, c in enumerate(app):
         m[:, j] = t[c].to_numpy()[perm]
     return order, m
+
+
+def check_no_nulls(op: str, attrs: Sequence[str]) -> None:
+    """Reject application attributes ``attrs`` that hold nulls: a matrix has no null cell."""
+    if attrs:
+        raise ValueError(f"{op}: application attribute(s) {list(attrs)} hold nulls")
 
 
 def distinct_keys(order: pa.Table) -> int:

@@ -55,6 +55,7 @@ from repro.batops import kernels as bat
 from repro.core import distributed, matrix_ops
 from repro.core.constructors import (
     application_schema,
+    check_no_nulls,
     column_cast,
     distinct_keys,
     relation_constructor,
@@ -140,20 +141,23 @@ def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
     return app
 
 
-def _tuples(r: DataFrame, by: list[str], op: str, order=None) -> int:
-    """Number of tuples of ``r``, after checking that ``by`` is a key.
+def _tuples(r: DataFrame, by: list[str], app: list[str], op: str, order=None) -> int:
+    """Number of tuples of ``r``, after checking that ``by`` is a key and ``app`` holds no null.
 
     An input copied to the driver is checked on its order part ``order`` at
-    no Spark job; one that stays in the engine by one ``count(1)`` /
-    ``count(DISTINCT struct(U))`` aggregation. Both count keys as Spark
-    groups them: nulls equal each other, NaN equals NaN, ``-0.0`` equals ``0.0``.
+    no Spark job (:func:`split_sorted` found its nulls on the copy); one that
+    stays in the engine by one ``count(1)`` / ``count(DISTINCT struct(U))`` /
+    ``count(c)`` per application attribute aggregation. Both count keys as
+    Spark groups them: nulls equal each other, NaN equals NaN, ``-0.0`` equals ``0.0``.
     """
     if order is None:
-        n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+        n, keys, *counts = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by)),
+                                 *[F.count(c) for c in app]).first()
     else:
-        n, keys = len(order), distinct_keys(order)
+        n, keys, counts = len(order), distinct_keys(order), []
     if keys != n:
         raise ValueError(f"{op}: order schema {by} does not form a key")
+    check_no_nulls(op, [c for c, k in zip(app, counts) if k != n])
     return n
 
 
@@ -194,18 +198,25 @@ def _apply(
     # μ copies every input of a LAPACK/BAT kernel, and the right operand of the
     # spark mmu, to the driver; a copied input is validated on its copy.
     local = backend != "spark"
-    order_r, m = split_sorted(r, by) if local else (None, None)
+    checked = op if validate else None
+    order_r, m = split_sorted(r, by, checked) if local else (None, None)
     if st.binary and shared and local:
         order_s, n = order_r, m
     elif st.binary and (local or op == "mmu"):
-        order_s, n = split_sorted(s, by2)
+        order_s, n = split_sorted(s, by2, checked)
     else:
         order_s = n = None
     if validate:
-        n_r = _tuples(r, by, op, order_s if shared else order_r)
-        n_s = n_r if shared or not st.binary else _tuples(s, by2, op, order_s)
+        n_r = _tuples(r, by, app_r, op, order_s if shared else order_r)
+        n_s = n_r if shared or not st.binary else _tuples(s, by2, app_s, op, order_s)
         if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
             raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
+        # Table 1 gives qqr (r1,c1) and rqr (c1,c1) the shapes of a reduced QR of a tall matrix.
+        if op in ("qqr", "rqr") and n_r < len(app_r):
+            raise ValueError(f"{op}: a reduced QR needs at least as many tuples as application "
+                             f"attributes, got {n_r} tuples for {len(app_r)} attributes")
+        if op == "rnk" and n_r == 0:
+            raise ValueError("rnk: the relation has no tuples")
 
     rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
     if cast is not None:

@@ -59,33 +59,10 @@ SHAPE_TYPES: dict[str, ShapeType] = {
     "rnk": ShapeType(Dim.ONE, Dim.ONE, binary=False),
 }
 
+
 def shape_type(op: str) -> ShapeType:
     """Look up the shape type of matrix/RMA operation ``op`` (lowercase)."""
     try:
         return SHAPE_TYPES[op]
     except KeyError:
         raise ValueError(f"unknown matrix operation: {op!r}") from None
-
-
-def result_dims(op: str, dims1: tuple[int, int], dims2: tuple[int, int] | None = None) -> tuple[int, int]:
-    """Result (rows, cols) of ``op`` on inputs with the given (rows, cols).
-
-    Follows column 1 of Table 1. For ``r*``/``c*`` the two inputs must
-    agree; that is validated by the caller.
-    """
-    st = shape_type(op)
-
-    def pick(d: Dim) -> int:
-        if d in (Dim.R1, Dim.RS):
-            return dims1[0]
-        if d is Dim.C1 or d is Dim.CS:
-            return dims1[1]
-        if d is Dim.R2:
-            assert dims2 is not None
-            return dims2[0]
-        if d is Dim.C2:
-            assert dims2 is not None
-            return dims2[1]
-        return 1
-
-    return pick(st.rows), pick(st.cols)

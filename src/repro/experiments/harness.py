@@ -1,18 +1,66 @@
-"""Shared utilities for the table-reproduction harnesses."""
+"""Shared utilities for the table-reproduction harnesses.
+
+Every cell of Tables 4–7 is timed by one rule, :func:`warm_median`: one
+untimed run, then the median of ``REPEATS`` timed runs (the paper reports
+averages of warm runs). Each table's job stores the records of its run
+with :func:`save`.
+"""
 from __future__ import annotations
 
+import json
+import os
+import statistics
+import subprocess
 import time
+from pathlib import Path
 from typing import Callable, Sequence
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+REPEATS = 3
 
-def timed(fn: Callable[[], object]) -> tuple[object, float]:
-    """Run ``fn`` and return (result, wall seconds)."""
-    t0 = time.perf_counter()
-    out = fn()
-    return out, time.perf_counter() - t0
+
+class Seconds(float):
+    """Median wall seconds of a cell; ``runs`` holds the timed runs behind it."""
+
+    runs: list[float]
+
+
+def warm_median(fn: Callable[[], object]) -> Seconds:
+    """Run ``fn`` once untimed, then return the median of ``REPEATS`` timed runs.
+
+    The untimed run absorbs codegen/JIT, page faults and allocator warm-up.
+    """
+    fn()
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        runs.append(time.perf_counter() - t0)
+    sec = Seconds(statistics.median(runs))
+    sec.runs = runs
+    return sec
+
+
+def save(table: int, records: list[dict]) -> Path:
+    """Write ``BENCH_table<table>.json``: the records plus the machine and commit."""
+    out = {
+        "table": table,
+        "repeats": REPEATS,
+        "nproc": len(os.sched_getaffinity(0)),
+        "mem_total_kb": _mem_total_kb(),
+        "git": subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                              capture_output=True, text=True).stdout.strip() or None,
+        "records": records,
+    }
+    path = Path(f"BENCH_table{table}.json")
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    return path
+
+
+def _mem_total_kb() -> int:
+    return int(Path("/proc/meminfo").read_text().split("MemTotal:")[1].split()[0])
 
 
 def force(df: DataFrame) -> float:

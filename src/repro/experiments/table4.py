@@ -13,7 +13,7 @@ from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.core import ops
-from repro.experiments.harness import force, print_table, timed
+from repro.experiments.harness import force, print_table, warm_median
 
 PAPER_ATTRS = [1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000]
 PAPER_SECONDS = [0.6, 2.2, 4.8, 8.8, 13.4, 20, 27, 36, 47, 62]
@@ -23,7 +23,7 @@ N_ROWS = 1000
 
 
 def wide_add_seconds(spark: SparkSession, n_attrs: int, n_rows: int = N_ROWS) -> float:
-    """Time one wide ``add`` (key-aligned, validation off, fully evaluated).
+    """Warm median seconds of one wide ``add`` (key-aligned, validation off, fully evaluated).
 
     With only 1000 tuples the cost is per-column planning/codegen, not
     data volume (exactly the regime Table 4 measures), so the shuffle
@@ -39,7 +39,7 @@ def wide_add_seconds(spark: SparkSession, n_attrs: int, n_rows: int = N_ROWS) ->
     spark.conf.set("spark.sql.shuffle.partitions", "8")
     try:
         out = ops.add(r, s, ["id"], ["id2"], validate=False, align="keys")
-        _, sec = timed(lambda: force(out))
+        sec = warm_median(lambda: force(out))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)
         r.unpersist(), s.unpersist()
@@ -51,7 +51,7 @@ def run(spark: SparkSession, attrs: Sequence[int] = DEFAULT_ATTRS) -> list[dict]
     out = []
     for k in attrs:
         sec = wide_add_seconds(spark, k)
-        out.append({"n_attrs": k, "seconds": sec})
+        out.append({"n_attrs": k, "seconds": sec, "runs": sec.runs})
     print_table(
         "Table 4: add over wide relations (paper: 1K-10K attrs, 0.6-62 s)",
         ["#attr", "sec"],

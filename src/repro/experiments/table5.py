@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.batops import kernels, sparse
-from repro.experiments.harness import print_table, timed
+from repro.experiments.harness import print_table, warm_median
 
 PAPER_ZERO_PCT = [0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100]
 PAPER_SECONDS = [1.68, 1.60, 1.49, 1.41, 1.33, 1.25, 1.16, 0.99, 0.94, 0.89, 0.76]
@@ -35,17 +35,16 @@ def _gen(zero_frac: float, n_rows: int, n_app: int, seed: int) -> np.ndarray:
 def sparse_vs_dense_add(
     zero_frac: float, n_rows: int = N_ROWS, n_app: int = N_APP, seed: int = 0
 ) -> dict:
-    """Time dense and sparse columnwise ``add`` at one zero fraction."""
+    """Warm median seconds of dense and sparse columnwise ``add`` at one zero fraction."""
     a = _gen(zero_frac, n_rows, n_app, seed)
     b = _gen(zero_frac, n_rows, n_app, seed + 1)
     bats_a, bats_b = kernels.as_bats(a), kernels.as_bats(b)
-    kernels.col_add(bats_a, bats_b)  # warmup: page-faults, allocator
-    _, dense_sec = timed(lambda: kernels.col_add(bats_a, bats_b))
+    dense_sec = warm_median(lambda: kernels.col_add(bats_a, bats_b))
     sp_a = [sparse.from_dense(c) for c in bats_a]
     sp_b = [sparse.from_dense(c) for c in bats_b]
-    sparse.sparse_add_cols(sp_a, sp_b)  # warmup
-    _, sparse_sec = timed(lambda: sparse.sparse_add_cols(sp_a, sp_b))
-    return {"zero_pct": int(round(zero_frac * 100)), "dense_sec": dense_sec, "sparse_sec": sparse_sec}
+    sparse_sec = warm_median(lambda: sparse.sparse_add_cols(sp_a, sp_b))
+    return {"zero_pct": int(round(zero_frac * 100)), "dense_sec": dense_sec, "sparse_sec": sparse_sec,
+            "dense_runs": dense_sec.runs, "sparse_runs": sparse_sec.runs}
 
 
 def run(n_rows: int = N_ROWS, zero_pcts: Sequence[int] = tuple(PAPER_ZERO_PCT)) -> list[dict]:

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 
 from repro import synth_data
 from repro.core import ops
-from repro.experiments.harness import print_table, timed
+from repro.experiments.harness import print_table, warm_median
 from repro.rlike import MemoryBudgetExceeded, RFrame
 from repro.rlike.rframe import r_qqr
 
@@ -50,27 +50,26 @@ MKL_CELL_LIMIT = 50_000_000 * 40 // SCALE
 
 
 def rma_qqr_seconds(spark: SparkSession, n_rows: int, n_app: int) -> tuple[float, str]:
-    """Time RMA+ ``qqr`` with the paper's MKL-vs-BAT delegation policy."""
+    """Warm median seconds of RMA+ ``qqr`` with the paper's MKL-vs-BAT delegation policy."""
     r = synth_data.matrix_relation(spark, n_rows=n_rows, n_app=n_app, seed=n_app)
     r.cache().count()
     backend = "local" if n_rows * n_app <= MKL_CELL_LIMIT else "bat"
     try:
-        _, sec = timed(lambda: ops.qqr(r, ["id"], backend=backend, validate=False).count())
+        sec = warm_median(lambda: ops.qqr(r, ["id"], backend=backend, validate=False).count())
     finally:
         r.unpersist()
     return sec, backend
 
 
 def r_qqr_seconds(n_rows: int, n_app: int, budget: int = R_MEM_BUDGET) -> float | None:
-    """Time the R-analogue ``qqr``; None when the memory budget is exceeded."""
+    """Warm median seconds of the R-analogue ``qqr``; None when the memory budget is exceeded."""
     pdf = synth_data.matrix_relation_pdf(n_rows=n_rows, n_app=n_app, seed=n_app)
     frame = RFrame(pdf, mem_budget_bytes=budget)
     app = [c for c in pdf.columns if c != "id"]
     try:
-        _, sec = timed(lambda: r_qqr(frame, app))
+        return warm_median(lambda: r_qqr(frame, app))
     except MemoryBudgetExceeded:
         return None
-    return sec
 
 
 def run(
@@ -91,6 +90,8 @@ def run(
                     "n_attrs": k,
                     "r_sec": r_sec,
                     "rma_sec": rma_sec,
+                    "r_runs": None if r_sec is None else r_sec.runs,
+                    "rma_runs": rma_sec.runs,
                     "rma_backend": backend,
                     "paper_r": paper.get("R"),
                     "paper_rma": paper.get("RMA+"),

@@ -21,7 +21,7 @@ from pyspark.sql import functions as F
 from repro import synth_data
 from repro.arraydb import array_add, array_select, to_array
 from repro.core import ops
-from repro.experiments.harness import force, print_table, timed
+from repro.experiments.harness import force, print_table, warm_median
 
 PAPER = {
     1_000_000: {"RMA+": 4.6, "SciDB": 81.0},
@@ -55,8 +55,8 @@ def rma_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
     The Spark analogue of that storage layout is both inputs cached
     co-partitioned and sorted by their keys, which lets Catalyst elide
     the exchange and sort — the join degenerates into a per-partition
-    merge. One untimed warmup run absorbs codegen/JIT (the paper times
-    warm kernels too: averages of 3 runs).
+    merge. Timed by :func:`~repro.experiments.harness.warm_median` (the
+    paper times warm kernels too: averages of 3 runs).
     """
     r, s = _inputs(spark, n_rows)
     ra = r.repartition(STORAGE_PARTITIONS, "id").sortWithinPartitions("id").cache()
@@ -67,11 +67,9 @@ def rma_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
             out = ops.add(ra, sa, ["id"], ["id2"], validate=False, align="keys")
             return force(out.filter(F.col("a0") > PREDICATE_THRESHOLD))
 
-        query()  # warmup: codegen/JIT
-        _, sec = timed(query)
+        return warm_median(query)
     finally:
         ra.unpersist(), sa.unpersist()
-    return sec
 
 
 def arraydb_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
@@ -80,8 +78,7 @@ def arraydb_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
     Array construction is excluded from the timing (SciDB stores data as
     arrays already); the timed part is the array join + add + filter,
     which is where the paper locates SciDB's disadvantage: |rows|·k
-    cells must be paired through a join. Same warmup policy as the RMA
-    side.
+    cells must be paired through a join. Timed like the RMA side.
     """
     r, s = _inputs(spark, n_rows)
     a = to_array(r, ["id"]).cache()
@@ -92,11 +89,9 @@ def arraydb_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
             out = array_select(array_add(a, b), f"v > {PREDICATE_THRESHOLD / N_APP}")
             return force(out)
 
-        query()  # warmup: codegen/JIT
-        _, sec = timed(query)
+        return warm_median(query)
     finally:
         a.unpersist(), b.unpersist()
-    return sec
 
 
 def run(spark: SparkSession, sizes: Sequence[int] = tuple(SIZES)) -> list[dict]:
@@ -111,6 +106,8 @@ def run(spark: SparkSession, sizes: Sequence[int] = tuple(SIZES)) -> list[dict]:
                 "n_rows": n,
                 "rma_sec": rma_sec,
                 "arraydb_sec": adb_sec,
+                "rma_runs": rma_sec.runs,
+                "arraydb_runs": adb_sec.runs,
                 "paper_rma": paper.get("RMA+"),
                 "paper_scidb": paper.get("SciDB"),
             }

@@ -11,6 +11,7 @@ import sys
 from collections import Counter
 
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
@@ -297,3 +298,13 @@ def test_auto_backend_policy(monkeypatch, rel_factory, op, kernel):
     else:
         ops.UNARY_OPS[op](r, ["id"], backend="auto")
     assert ran == [kernel]
+
+
+def test_bat_qqr_rejects_rank_deficient_input(spark):
+    """``v9 = v0 + v1`` leaves a Gram-Schmidt residual of rounding size, not an exact 0."""
+    m = np.random.default_rng(0).standard_normal((4000, 10))
+    m[:, 9] = m[:, 0] + m[:, 1]
+    pdf = pd.DataFrame(m, columns=[f"v{j}" for j in range(10)])
+    pdf.insert(0, "id", range(4000))
+    with pytest.raises(ValueError, match="rank-deficient input: column 9"):
+        ops.qqr(spark.createDataFrame(pdf), ["id"], backend="bat")

@@ -78,6 +78,16 @@ class TestGramSchmidt:
         with pytest.raises(ValueError, match="rank-deficient"):
             kernels.gram_schmidt_qr(kernels.as_bats(m))
 
+    def test_ill_conditioned_full_rank_bound(self):
+        """MGS at κ=1e6 passes, with ‖QᵀQ−I‖₂ ≤ c·κ·u for c = 10."""
+        g = np.random.default_rng(1)
+        n, k, kappa = 4000, 10, 1e6
+        u_, _ = np.linalg.qr(g.standard_normal((n, k)))
+        v_, _ = np.linalg.qr(g.standard_normal((k, k)))
+        m = (u_ * np.logspace(0, -np.log10(kappa), k)) @ v_.T
+        q = kernels.from_bats(kernels.gram_schmidt_qr(kernels.as_bats(m))[0])
+        assert np.linalg.norm(q.T @ q - np.eye(k), 2) <= 10 * kappa * np.finfo(np.float64).eps / 2
+
     def test_empty(self):
         q, r = kernels.gram_schmidt_qr([])
         assert q == [] and r == []

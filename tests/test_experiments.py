@@ -1,7 +1,28 @@
 """Smoke tests of the table-reproduction harnesses at tiny scale."""
+import json
+import statistics
+
+import pandas as pd
 import pytest
 
-from repro.experiments import table4, table5, table6, table7
+from repro.experiments import harness, table4, table5, table6, table7
+from repro.rlike import MemoryBudgetExceeded, RFrame
+
+
+def test_warm_median_runs_once_untimed_then_repeats():
+    calls = []
+    sec = harness.warm_median(lambda: calls.append(1))
+    assert len(calls) == 1 + harness.REPEATS == 4
+    assert len(sec.runs) == 3 and sec == statistics.median(sec.runs)
+
+
+def test_save_writes_records_machine_and_commit(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = harness.save(5, [{"zero_pct": 0, "dense_sec": 0.1}])
+    out = json.loads(path.read_text())
+    assert path.name == "BENCH_table5.json"
+    assert out["records"] == [{"zero_pct": 0, "dense_sec": 0.1}] and out["repeats"] == harness.REPEATS
+    assert out["nproc"] >= 1 and out["mem_total_kb"] > 0 and "git" in out
 
 
 def test_table4_paper_numbers_recorded():
@@ -50,6 +71,27 @@ def test_table6_r_fail_cells(spark):
     """The memory budget makes exactly the paper's cells fail (scaled)."""
     assert table6.r_qqr_seconds(2_000, 10) is not None
     assert table6.r_qqr_seconds(500_000 // 50, 70, budget=(1 << 30) // 50) is None
+
+
+def test_table6_fail_cells_on_full_grid():
+    """On the full scaled grid the 1 GB budget fails exactly the paper's three cells.
+
+    The budget check of ``as_matrix`` reads only the frame's length and the
+    column count, so a frame of n rows and no columns stands in for each
+    cell: one that passes the check then fails the column lookup instead.
+    """
+    def fails(n, k):
+        frame = RFrame(pd.DataFrame(index=pd.RangeIndex(n)), mem_budget_bytes=table6.R_MEM_BUDGET)
+        try:
+            frame.as_matrix([f"a{j}" for j in range(k)])
+        except MemoryBudgetExceeded:
+            return True
+        except KeyError:
+            return False
+
+    got = [(n, k) for n in table6.ROWS for k in table6.ATTRS if fails(n, k)]
+    paper = [(n // table6.SCALE, k) for (n, k), v in table6.PAPER.items() if v["R"] is None]
+    assert sorted(got) == sorted(paper) and len(got) == 3
 
 
 def test_table6_tiny_run(spark):

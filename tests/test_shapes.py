@@ -1,11 +1,12 @@
 """Shape-type registry tests — Table 1 of the paper, verbatim."""
+import numpy as np
 import pytest
 
+from repro.core import matrix_ops
 from repro.core.shapes import (
     SHAPE_TYPES,
     Dim,
     ShapeType,
-    result_dims,
     shape_type,
 )
 
@@ -81,7 +82,13 @@ def test_arity(op, binary):
     ],
 )
 def test_result_dims_follow_table1(op, d1, d2, expected):
-    assert result_dims(op, d1, d2) == expected
+    """The base kernels return the (rows, cols) that Table 1 gives each operation."""
+    g = np.random.default_rng(0)
+    m = g.random(d1)
+    if d1[0] == d1[1]:
+        m = m @ m.T + d1[0] * np.eye(d1[0])  # symmetric positive definite: every square kernel applies
+    out = matrix_ops.UNARY[op](m) if d2 is None else matrix_ops.BINARY[op](m, g.random(d2))
+    assert out.shape == expected
 
 
 def test_unknown_op_raises():

@@ -1,4 +1,6 @@
 """Input validation: order schemas must be keys, application parts numeric."""
+import math
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -173,3 +175,52 @@ def test_spark_sol_costs_no_more_jobs_than_cpd(spark, rel_pair):
     sol = _jobs(spark, lambda: ops.sol(r, y, "id", "id2", backend="spark"))
     cpd = _jobs(spark, lambda: ops.cpd(r, y, "id", "id2", backend="spark"))
     assert sol <= cpd
+
+
+_BACKENDS = ("local", "spark", "bat")
+_NULL_CALLS = [*[("qqr", b, "r") for b in _BACKENDS], *[("add", b, side) for b in _BACKENDS for side in "rs"]]
+_ROWS = [("a", 1.0, 2.0), ("b", 4.0, 1.0), ("c", 3.0, 5.0)]
+
+
+def _with_null(spark, key="k"):
+    """``_ROWS`` with a null in place of 4.0."""
+    return spark.createDataFrame([("b", None, 1.0) if row[0] == "b" else row for row in _ROWS],
+                                 f"{key} string, v double, w double")
+
+
+@pytest.mark.parametrize("op,backend,side", _NULL_CALLS, ids=[f"{o}-{b}-null_in_{s}" for o, b, s in _NULL_CALLS])
+def test_null_application_value_rejected(spark, op, backend, side):
+    """A null application value raises instead of turning the result into NaN."""
+    if op == "qqr":
+        call = lambda: ops.qqr(_with_null(spark), ["k"], backend=backend)  # noqa: E731
+    else:
+        ok = spark.createDataFrame(_ROWS, "k2 string, v double, w double")
+        r, s = (_with_null(spark), ok) if side == "r" else (ok.withColumnRenamed("k2", "k"), _with_null(spark, "k2"))
+        call = lambda: ops.add(r, s, ["k"], ["k2"], backend=backend)  # noqa: E731
+    with pytest.raises(ValueError, match=rf"^{op}: application attribute\(s\) \['v'\] hold nulls$"):
+        call()
+
+
+@pytest.mark.parametrize("backend", _BACKENDS)
+def test_null_check_skipped_without_validation(spark, backend):
+    """``validate=False`` skips the null check, like the key check: the cell comes out null or NaN."""
+    s = spark.createDataFrame(_ROWS, "k2 string, v double, w double")
+    out = ops.add(_with_null(spark), s, ["k"], ["k2"], backend=backend, validate=False)
+    row = out.filter("k = 'b'").first()
+    assert (row["v"] is None or math.isnan(row["v"])) and row["w"] == 2.0
+
+
+_SHAPE_CALLS = [*[(op, b) for op in ("qqr", "rqr") for b in _BACKENDS], ("rnk", "local")]
+
+
+@pytest.mark.parametrize("rows", [0, 1], ids=["empty", "one_row"])
+@pytest.mark.parametrize("op,backend", _SHAPE_CALLS, ids=[f"{o}-{b}" for o, b in _SHAPE_CALLS])
+def test_degenerate_shapes_name_the_op(spark, op, backend, rows):
+    """qqr/rqr need n ≥ k tuples (a reduced QR of a tall matrix), rnk at least one."""
+    r = spark.createDataFrame(_ROWS[:rows], "k string, v double, w double")
+    call = lambda: ops.UNARY_OPS[op](r, ["k"], backend=backend)  # noqa: E731
+    if op == "rnk" and rows == 1:
+        assert call().first()["rnk"] == 1.0
+    else:
+        with pytest.raises(ValueError, match=f"^{op}: "):
+            call()
