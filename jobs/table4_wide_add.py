@@ -1,4 +1,4 @@
-"""Reproduce Table 4 (add over wide relations) and write ``BENCH_table4.json``: ``spark-submit jobs/table4_wide_add.py``."""
+"""Reproduce Table 4 (add over wide relations): ``spark-submit jobs/table4_wide_add.py``."""
 import sys
 
 sys.path.insert(0, "jobs")

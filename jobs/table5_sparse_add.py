@@ -1,4 +1,4 @@
-"""Reproduce Table 5 (add over sparse relations) and write ``BENCH_table5.json``: ``python jobs/table5_sparse_add.py``.
+"""Reproduce Table 5 (add over sparse relations): ``python jobs/table5_sparse_add.py``.
 
 Columnwise-kernel experiment (the paper measures the BAT add kernel);
 no Spark session is needed.

@@ -1,4 +1,4 @@
-"""Reproduce Table 6 (qqr scaling, R vs RMA+) and write ``BENCH_table6.json``: ``spark-submit jobs/table6_qqr_scaling.py``."""
+"""Reproduce Table 6 (qqr scaling, R vs RMA+): ``spark-submit jobs/table6_qqr_scaling.py``."""
 import sys
 
 sys.path.insert(0, "jobs")

@@ -1,4 +1,4 @@
-"""Reproduce Table 7 (add + selection, RMA+ vs array DB) and write ``BENCH_table7.json``: ``spark-submit jobs/table7_vs_arraydb.py``."""
+"""Reproduce Table 7 (add + selection, RMA+ vs array DB): ``spark-submit jobs/table7_vs_arraydb.py``."""
 import sys
 
 sys.path.insert(0, "jobs")

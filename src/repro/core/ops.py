@@ -30,8 +30,9 @@ the rows axis picks the row origins, the cols axis the column names.
 Backends (``backend=`` keyword):
 
 - ``"local"`` — the RMA+MKL analogue: copy each input to the driver in
-  one unsorted Arrow collect, then sort it, check its order schema is a
-  key and read ``∇`` there, run numpy/LAPACK, rebuild the relation.
+  one unsorted Arrow collect, then sort it, check there that its order
+  schema is a key and its application part holds no null, read ``∇``
+  there, run numpy/LAPACK, rebuild the relation.
 - ``"spark"`` — distributed kernels (:mod:`repro.core.distributed`) for
   ``add``/``sub``/``emu``, ``cpd``, ``sol``, ``mmu``, ``qqr``, ``rqr``.
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
@@ -198,12 +199,12 @@ def _apply(
     # μ copies every input of a LAPACK/BAT kernel, and the right operand of the
     # spark mmu, to the driver; a copied input is validated on its copy.
     local = backend != "spark"
-    checked = op if validate else None
-    order_r, m = split_sorted(r, by, checked) if local else (None, None)
+    check = op if validate else None  # split_sorted names op when it finds a null
+    order_r, m = split_sorted(r, by, check) if local else (None, None)
     if st.binary and shared and local:
         order_s, n = order_r, m
     elif st.binary and (local or op == "mmu"):
-        order_s, n = split_sorted(s, by2, checked)
+        order_s, n = split_sorted(s, by2, check)
     else:
         order_s = n = None
     if validate:

@@ -44,7 +44,12 @@ def warm_median(fn: Callable[[], object]) -> Seconds:
 
 
 def save(table: int, records: list[dict]) -> Path:
-    """Write ``BENCH_table<table>.json``: the records plus the machine and commit."""
+    """Write ``BENCH_table<table>.json`` into the working directory: the records, machine and commit.
+
+    Each :class:`Seconds` of a record is stored as its median and its runs.
+    """
+    records = [{k: {"median": float(v), "runs": v.runs} if isinstance(v, Seconds) else v
+                for k, v in rec.items()} for rec in records]
     out = {
         "table": table,
         "repeats": REPEATS,

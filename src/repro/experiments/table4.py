@@ -51,7 +51,7 @@ def run(spark: SparkSession, attrs: Sequence[int] = DEFAULT_ATTRS) -> list[dict]
     out = []
     for k in attrs:
         sec = wide_add_seconds(spark, k)
-        out.append({"n_attrs": k, "seconds": sec, "runs": sec.runs})
+        out.append({"n_attrs": k, "seconds": sec})
     print_table(
         "Table 4: add over wide relations (paper: 1K-10K attrs, 0.6-62 s)",
         ["#attr", "sec"],

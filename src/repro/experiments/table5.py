@@ -43,8 +43,7 @@ def sparse_vs_dense_add(
     sp_a = [sparse.from_dense(c) for c in bats_a]
     sp_b = [sparse.from_dense(c) for c in bats_b]
     sparse_sec = warm_median(lambda: sparse.sparse_add_cols(sp_a, sp_b))
-    return {"zero_pct": int(round(zero_frac * 100)), "dense_sec": dense_sec, "sparse_sec": sparse_sec,
-            "dense_runs": dense_sec.runs, "sparse_runs": sparse_sec.runs}
+    return {"zero_pct": int(round(zero_frac * 100)), "dense_sec": dense_sec, "sparse_sec": sparse_sec}
 
 
 def run(n_rows: int = N_ROWS, zero_pcts: Sequence[int] = tuple(PAPER_ZERO_PCT)) -> list[dict]:

@@ -90,8 +90,6 @@ def run(
                     "n_attrs": k,
                     "r_sec": r_sec,
                     "rma_sec": rma_sec,
-                    "r_runs": None if r_sec is None else r_sec.runs,
-                    "rma_runs": rma_sec.runs,
                     "rma_backend": backend,
                     "paper_r": paper.get("R"),
                     "paper_rma": paper.get("RMA+"),

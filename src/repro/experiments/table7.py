@@ -106,8 +106,6 @@ def run(spark: SparkSession, sizes: Sequence[int] = tuple(SIZES)) -> list[dict]:
                 "n_rows": n,
                 "rma_sec": rma_sec,
                 "arraydb_sec": adb_sec,
-                "rma_runs": rma_sec.runs,
-                "arraydb_runs": adb_sec.runs,
                 "paper_rma": paper.get("RMA+"),
                 "paper_scidb": paper.get("SciDB"),
             }

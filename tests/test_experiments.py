@@ -18,10 +18,11 @@ def test_warm_median_runs_once_untimed_then_repeats():
 
 def test_save_writes_records_machine_and_commit(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    path = harness.save(5, [{"zero_pct": 0, "dense_sec": 0.1}])
+    sec = harness.warm_median(lambda: None)
+    path = harness.save(5, [{"zero_pct": 0, "dense_sec": sec}])
     out = json.loads(path.read_text())
-    assert path.name == "BENCH_table5.json"
-    assert out["records"] == [{"zero_pct": 0, "dense_sec": 0.1}] and out["repeats"] == harness.REPEATS
+    assert path.name == "BENCH_table5.json" and out["repeats"] == harness.REPEATS
+    assert out["records"] == [{"zero_pct": 0, "dense_sec": {"median": sec, "runs": sec.runs}}]
     assert out["nproc"] >= 1 and out["mem_total_kb"] > 0 and "git" in out
 
 

@@ -178,7 +178,8 @@ def test_spark_sol_costs_no_more_jobs_than_cpd(spark, rel_pair):
 
 
 _BACKENDS = ("local", "spark", "bat")
-_NULL_CALLS = [*[("qqr", b, "r") for b in _BACKENDS], *[("add", b, side) for b in _BACKENDS for side in "rs"]]
+_NULL_CALLS = [*[("qqr", b, "r") for b in _BACKENDS],
+               *[("add", b, side) for b in _BACKENDS for side in "rs"]]
 _ROWS = [("a", 1.0, 2.0), ("b", 4.0, 1.0), ("c", 3.0, 5.0)]
 
 
@@ -195,7 +196,10 @@ def test_null_application_value_rejected(spark, op, backend, side):
         call = lambda: ops.qqr(_with_null(spark), ["k"], backend=backend)  # noqa: E731
     else:
         ok = spark.createDataFrame(_ROWS, "k2 string, v double, w double")
-        r, s = (_with_null(spark), ok) if side == "r" else (ok.withColumnRenamed("k2", "k"), _with_null(spark, "k2"))
+        if side == "r":
+            r, s = _with_null(spark), ok
+        else:
+            r, s = ok.withColumnRenamed("k2", "k"), _with_null(spark, "k2")
         call = lambda: ops.add(r, s, ["k"], ["k2"], backend=backend)  # noqa: E731
     with pytest.raises(ValueError, match=rf"^{op}: application attribute\(s\) \['v'\] hold nulls$"):
         call()
