@@ -44,8 +44,6 @@ Backends (``backend=`` keyword):
 """
 from __future__ import annotations
 
-import functools
-import operator
 from collections import namedtuple
 from typing import Sequence
 
@@ -149,25 +147,22 @@ def _tuples(r: DataFrame, by: list[str], app: list[str], op: str, order=None) ->
 
     An input copied to the driver is checked on its order part ``order`` at
     no Spark job (:func:`split_sorted` found its nulls on the copy). One that
-    stays in the engine pays one aggregation: ``count(1)`` and
-    ``count(DISTINCT struct(U))`` over the tuples without a null in ``app``,
-    which agree only for a key without nulls; when they differ, a second
-    aggregation tells a duplicate key from the attributes that hold nulls.
-    Keys are counted as Spark groups them: nulls equal each other, NaN
-    equals NaN, ``-0.0`` equals ``0.0``.
+    stays in the engine pays one aggregation: ``count(1)``,
+    ``count(DISTINCT struct(U))`` and ``count(Ū)``, the tuples without a null
+    application value; only if that falls short does a second aggregation
+    name the attributes that hold nulls. Keys are counted as Spark groups
+    them: nulls equal each other, NaN equals NaN, ``-0.0`` equals ``0.0``.
     """
-    nulls = []
     if order is None:
-        no_null = functools.reduce(operator.and_, [F.col(c).isNotNull() for c in app])
-        n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.when(no_null, F.struct(*by)))).first()
-        if keys != n:
-            keys, *counts = r.agg(F.count_distinct(F.struct(*by)), *[F.count(c) for c in app]).first()
-            nulls = [c for c, k in zip(app, counts) if k != n]
+        n, keys, full = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by)),
+                              F.call_function("count", *[F.col(c) for c in app])).first()
     else:
-        n, keys = len(order), distinct_keys(order)
+        n, keys, full = len(order), distinct_keys(order), len(order)
     if keys != n:
         raise ValueError(f"{op}: order schema {by} does not form a key")
-    check_no_nulls(op, nulls)
+    if full != n:
+        counts = r.agg(*[F.count(c) for c in app]).first()
+        check_no_nulls(op, [c for c, k in zip(app, counts) if k != n])
     return n
 
 
