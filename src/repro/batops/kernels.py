@@ -112,16 +112,3 @@ def col_add(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> Bats:
         raise ValueError(f"column counts differ: {len(a)} vs {len(b)}")
     return [np.asarray(x, dtype=np.float64) + np.asarray(y, dtype=np.float64) for x, y in zip(a, b)]
 
-
-def col_sub(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> Bats:
-    """Element-wise ``sub`` over BAT lists."""
-    if len(a) != len(b):
-        raise ValueError(f"column counts differ: {len(a)} vs {len(b)}")
-    return [np.asarray(x, dtype=np.float64) - np.asarray(y, dtype=np.float64) for x, y in zip(a, b)]
-
-
-def col_emu(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> Bats:
-    """Element-wise ``emu`` over BAT lists."""
-    if len(a) != len(b):
-        raise ValueError(f"column counts differ: {len(a)} vs {len(b)}")
-    return [np.asarray(x, dtype=np.float64) * np.asarray(y, dtype=np.float64) for x, y in zip(a, b)]

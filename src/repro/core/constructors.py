@@ -55,16 +55,29 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     sort, so no sampling job or shuffle of its own); the rows are then
     sorted on the driver, stably and in Spark's ascending order: nulls
     first, NaN after every number, ``-0.0`` equal to ``0.0``, strings by
-    code point. A null application value reads as NaN; given ``op``, it
-    raises instead (found from Arrow's ``null_count``, with no pass over the
-    data).
+    code point. A null application value reads as NaN.
+
+    Given ``op``, the copy validates ``r`` for that operation: a null
+    application value raises (found from Arrow's ``null_count``, with no
+    pass over the data), and so does an order schema that is not a key —
+    two neighbours of the sort with equal ranks in every order attribute,
+    which is Spark's grouping equality (null equals null but not NaN, NaN
+    equals NaN, ``-0.0`` equals ``0.0``).
     """
     by = list(by)
     app = application_schema(r, by)
     t = r.toArrow()
     if op is not None:
         check_no_nulls(op, [c for c in app if t[c].null_count])
-    perm = np.lexsort([_ranks(t[c]) for c in reversed(by)]) if by else np.arange(t.num_rows)
+    ranks = [_ranks(t[c]) for c in by]
+    perm = np.lexsort(ranks[::-1]) if by else np.arange(t.num_rows)
+    if op is not None:
+        tie = np.ones(max(t.num_rows - 1, 0), dtype=bool)  # row i ties row i + 1
+        for rk in ranks:
+            rk = rk[perm]
+            tie &= rk[1:] == rk[:-1]
+        if tie.any():
+            raise ValueError(f"{op}: order schema {by} does not form a key")
     # A table without columns keeps its row count, but not through take.
     order = t.select(by).take(perm) if by else t.select(by)
     # Gather column by column: permuting the whole table would hold a second
@@ -80,18 +93,6 @@ def check_no_nulls(op: str, attrs: Sequence[str]) -> None:
     """Reject application attributes ``attrs`` that hold nulls: a matrix has no null cell."""
     if attrs:
         raise ValueError(f"{op}: application attribute(s) {list(attrs)} hold nulls")
-
-
-def distinct_keys(order: pa.Table) -> int:
-    """``count(DISTINCT struct(U))`` of an order part from :func:`split_sorted`.
-
-    Counted on the driver with Spark's grouping equality: null equals
-    null but not NaN, NaN equals NaN, ``-0.0`` equals ``0.0``.
-    """
-    if order.num_columns == 0:
-        return min(order.num_rows, 1)
-    ranks = np.column_stack([_ranks(col) for col in order.columns])
-    return len(np.unique(ranks, axis=0))
 
 
 def _ranks(col: pa.ChunkedArray) -> np.ndarray:

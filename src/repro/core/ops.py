@@ -36,8 +36,7 @@ Backends (``backend=`` keyword):
 - ``"spark"`` — distributed kernels (:mod:`repro.core.distributed`) for
   ``add``/``sub``/``emu``, ``cpd``, ``sol``, ``mmu``, ``qqr``, ``rqr``.
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
-  ``inv`` (Algorithm 2), ``qqr``/``rqr`` (Gram-Schmidt), and the linear
-  ops.
+  ``inv`` (Algorithm 2) and ``qqr``/``rqr`` (Gram-Schmidt).
 - ``"auto"`` — the paper's policy (§8): linear operations and the self
   cross product ``cpd(r, r)`` stay in the engine, everything else
   delegates to the LAPACK backend.
@@ -58,7 +57,6 @@ from repro.core.constructors import (
     application_schema,
     check_no_nulls,
     column_cast,
-    distinct_keys,
     relation_constructor,
     schema_cast,
     split_sorted,
@@ -107,9 +105,6 @@ _KERNELS = {
         "rqr": lambda c: distributed.rqr_matrix(c.r, c.app_r),
     },
     "bat": {
-        "add": _columnwise(bat.col_add),
-        "sub": _columnwise(bat.col_sub),
-        "emu": _columnwise(bat.col_emu),
         "inv": _columnwise(bat.gauss_jordan_inv),
         "qqr": _columnwise(lambda b: bat.gram_schmidt_qr(b)[0]),
         "rqr": _columnwise(lambda b: bat.gram_schmidt_qr(b)[1]),
@@ -142,22 +137,18 @@ def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
     return app
 
 
-def _tuples(r: DataFrame, by: list[str], app: list[str], op: str, order=None) -> int:
-    """Number of tuples of ``r``, after checking that ``by`` is a key and ``app`` holds no null.
+def _tuples(r: DataFrame, by: list[str], app: list[str], op: str) -> int:
+    """Tuples of an engine input ``r``, after checking that ``by`` is a key and ``app`` holds no null.
 
-    An input copied to the driver is checked on its order part ``order`` at
-    no Spark job (:func:`split_sorted` found its nulls on the copy). One that
-    stays in the engine pays one aggregation: ``count(1)``,
-    ``count(DISTINCT struct(U))`` and ``count(Ū)``, the tuples without a null
-    application value; only if that falls short does a second aggregation
-    name the attributes that hold nulls. Keys are counted as Spark groups
-    them: nulls equal each other, NaN equals NaN, ``-0.0`` equals ``0.0``.
+    One aggregation: ``count(1)``, ``count(DISTINCT struct(U))`` and
+    ``count(Ū)``, the tuples without a null application value; only if that
+    falls short does a second aggregation name the attributes that hold
+    nulls. Keys are counted as Spark groups them: nulls equal each other,
+    NaN equals NaN, ``-0.0`` equals ``0.0``. (An input copied to the driver
+    is checked by :func:`split_sorted` instead.)
     """
-    if order is None:
-        n, keys, full = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by)),
-                              F.call_function("count", *[F.col(c) for c in app])).first()
-    else:
-        n, keys, full = len(order), distinct_keys(order), len(order)
+    n, keys, full = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by)),
+                          F.call_function("count", *[F.col(c) for c in app])).first()
     if keys != n:
         raise ValueError(f"{op}: order schema {by} does not form a key")
     if full != n:
@@ -174,7 +165,6 @@ def _apply(
     by2: str | Sequence[str] = (),
     *,
     backend: str,
-    validate: bool,
     align: str = "position",
 ) -> DataFrame:
     """Run relational matrix operation ``op``; its shape type fixes the result schema."""
@@ -201,27 +191,30 @@ def _apply(
         )
 
     # μ copies every input of a LAPACK/BAT kernel, and the right operand of the
-    # spark mmu, to the driver; a copied input is validated on its copy.
+    # spark mmu, to the driver; split_sorted validates a copied input on its
+    # copy, and an input that stays in the engine pays one aggregation.
     local = backend != "spark"
-    check = op if validate else None  # split_sorted names op when it finds a null
-    order_r, m = split_sorted(r, by, check) if local else (None, None)
+    order_r, m = split_sorted(r, by, op) if local else (None, None)
     if st.binary and shared and local:
         order_s, n = order_r, m
     elif st.binary and (local or op == "mmu"):
-        order_s, n = split_sorted(s, by2, check)
+        order_s, n = split_sorted(s, by2, op)
     else:
         order_s = n = None
-    if validate:
-        n_r = _tuples(r, by, app_r, op, order_s if shared else order_r)
-        n_s = n_r if shared or not st.binary else _tuples(s, by2, app_s, op, order_s)
-        if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
-            raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
-        # Table 1 gives qqr (r1,c1) and rqr (c1,c1) the shapes of a reduced QR of a tall matrix.
-        if op in ("qqr", "rqr") and n_r < len(app_r):
-            raise ValueError(f"{op}: a reduced QR needs at least as many tuples as application "
-                             f"attributes, got {n_r} tuples for {len(app_r)} attributes")
-        if op == "rnk" and n_r == 0:
-            raise ValueError("rnk: the relation has no tuples")
+    copy_r = order_s if shared else order_r
+    n_r = _tuples(r, by, app_r, op) if copy_r is None else copy_r.num_rows
+    if shared or not st.binary:
+        n_s = n_r
+    else:
+        n_s = _tuples(s, by2, app_s, op) if order_s is None else order_s.num_rows
+    if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
+        raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
+    # Table 1 gives qqr (r1,c1) and rqr (c1,c1) the shapes of a reduced QR of a tall matrix.
+    if op in ("qqr", "rqr") and n_r < len(app_r):
+        raise ValueError(f"{op}: a reduced QR needs at least as many tuples as application "
+                         f"attributes, got {n_r} tuples for {len(app_r)} attributes")
+    if op == "rnk" and n_r == 0:
+        raise ValueError("rnk: the relation has no tuples")
 
     rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
     if cast is not None:
@@ -249,104 +242,104 @@ def _apply(
 
 # --- public API (one function per operation) ----------------------------
 
-def emu(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
+def emu(r, s, by, by2, *, backend="auto", align="position") -> DataFrame:
     """``emu_{U;V}(r, s)``: element-wise multiplication; schema ``U ∘ V ∘ Ū``."""
-    return _apply("emu", r, by, s, by2, backend=backend, validate=validate, align=align)
+    return _apply("emu", r, by, s, by2, backend=backend, align=align)
 
 
-def add(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
+def add(r, s, by, by2, *, backend="auto", align="position") -> DataFrame:
     """``add_{U;V}(r, s)``: matrix addition; schema ``U ∘ V ∘ Ū``."""
-    return _apply("add", r, by, s, by2, backend=backend, validate=validate, align=align)
+    return _apply("add", r, by, s, by2, backend=backend, align=align)
 
 
-def sub(r, s, by, by2, *, backend="auto", validate=True, align="position") -> DataFrame:
+def sub(r, s, by, by2, *, backend="auto", align="position") -> DataFrame:
     """``sub_{U;V}(r, s)``: matrix subtraction; schema ``U ∘ V ∘ Ū``."""
-    return _apply("sub", r, by, s, by2, backend=backend, validate=validate, align=align)
+    return _apply("sub", r, by, s, by2, backend=backend, align=align)
 
 
-def mmu(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
+def mmu(r, s, by, by2, *, backend="auto") -> DataFrame:
     """``mmu_{U;V}(r, s)``: matrix multiplication; schema ``U ∘ V̄``."""
-    return _apply("mmu", r, by, s, by2, backend=backend, validate=validate)
+    return _apply("mmu", r, by, s, by2, backend=backend)
 
 
-def opd(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
+def opd(r, s, by, by2, *, backend="auto") -> DataFrame:
     """``opd_{U;V}(r, s)``: outer product; schema ``U ∘ ∇V``."""
-    return _apply("opd", r, by, s, by2, backend=backend, validate=validate)
+    return _apply("opd", r, by, s, by2, backend=backend)
 
 
-def cpd(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
+def cpd(r, s, by, by2, *, backend="auto") -> DataFrame:
     """``cpd_{U;V}(r, s)``: cross product ``AᵀB``; schema ``(C) ∘ V̄``.
 
     With ``backend="auto"`` the self cross product (``r is s``) runs
     distributed via partial Gram matrices (no sort — §8.1 optimisation);
     the general case runs locally.
     """
-    return _apply("cpd", r, by, s, by2, backend=backend, validate=validate)
+    return _apply("cpd", r, by, s, by2, backend=backend)
 
 
-def sol(r, s, by, by2, *, backend="auto", validate=True) -> DataFrame:
+def sol(r, s, by, by2, *, backend="auto") -> DataFrame:
     """``sol_{U;V}(r, s)``: least-squares solve of ``r·x = s``; schema ``(C) ∘ V̄``."""
-    return _apply("sol", r, by, s, by2, backend=backend, validate=validate)
+    return _apply("sol", r, by, s, by2, backend=backend)
 
 
-def tra(r, by, *, backend="auto", validate=True) -> DataFrame:
+def tra(r, by, *, backend="auto") -> DataFrame:
     """``tra_U(r)``: transpose; schema ``(C) ∘ ∇U``, C values = ``Ū``."""
-    return _apply("tra", r, by, backend=backend, validate=validate)
+    return _apply("tra", r, by, backend=backend)
 
 
-def inv(r, by, *, backend="auto", validate=True) -> DataFrame:
+def inv(r, by, *, backend="auto") -> DataFrame:
     """``inv_U(r)``: matrix inversion; schema ``U ∘ Ū``."""
-    return _apply("inv", r, by, backend=backend, validate=validate)
+    return _apply("inv", r, by, backend=backend)
 
 
-def evc(r, by, *, backend="auto", validate=True) -> DataFrame:
+def evc(r, by, *, backend="auto") -> DataFrame:
     """``evc_U(r)``: eigenvectors; schema ``U ∘ Ū``."""
-    return _apply("evc", r, by, backend=backend, validate=validate)
+    return _apply("evc", r, by, backend=backend)
 
 
-def evl(r, by, *, backend="auto", validate=True) -> DataFrame:
+def evl(r, by, *, backend="auto") -> DataFrame:
     """``evl_U(r)``: eigenvalues; schema ``U ∘ (evl)``."""
-    return _apply("evl", r, by, backend=backend, validate=validate)
+    return _apply("evl", r, by, backend=backend)
 
 
-def qqr(r, by, *, backend="auto", validate=True) -> DataFrame:
+def qqr(r, by, *, backend="auto") -> DataFrame:
     """``qqr_U(r)``: Q of the QR decomposition; schema ``U ∘ Ū``."""
-    return _apply("qqr", r, by, backend=backend, validate=validate)
+    return _apply("qqr", r, by, backend=backend)
 
 
-def rqr(r, by, *, backend="auto", validate=True) -> DataFrame:
+def rqr(r, by, *, backend="auto") -> DataFrame:
     """``rqr_U(r)``: R of the QR decomposition; schema ``(C) ∘ Ū``."""
-    return _apply("rqr", r, by, backend=backend, validate=validate)
+    return _apply("rqr", r, by, backend=backend)
 
 
-def dsv(r, by, *, backend="auto", validate=True) -> DataFrame:
+def dsv(r, by, *, backend="auto") -> DataFrame:
     """``dsv_U(r)``: diagonal matrix of singular values; schema ``(C) ∘ Ū``."""
-    return _apply("dsv", r, by, backend=backend, validate=validate)
+    return _apply("dsv", r, by, backend=backend)
 
 
-def usv(r, by, *, backend="auto", validate=True) -> DataFrame:
+def usv(r, by, *, backend="auto") -> DataFrame:
     """``usv_U(r)``: left singular vectors; schema ``U ∘ ∇U`` (needs ``|U|=1``)."""
-    return _apply("usv", r, by, backend=backend, validate=validate)
+    return _apply("usv", r, by, backend=backend)
 
 
-def vsv(r, by, *, backend="auto", validate=True) -> DataFrame:
+def vsv(r, by, *, backend="auto") -> DataFrame:
     """``vsv_U(r)``: singular values as a column; schema ``U ∘ (vsv)``."""
-    return _apply("vsv", r, by, backend=backend, validate=validate)
+    return _apply("vsv", r, by, backend=backend)
 
 
-def det(r, by, *, backend="auto", validate=True) -> DataFrame:
+def det(r, by, *, backend="auto") -> DataFrame:
     """``det_U(r)``: determinant; single-tuple relation with schema ``(C, det)``."""
-    return _apply("det", r, by, backend=backend, validate=validate)
+    return _apply("det", r, by, backend=backend)
 
 
-def rnk(r, by, *, backend="auto", validate=True) -> DataFrame:
+def rnk(r, by, *, backend="auto") -> DataFrame:
     """``rnk_U(r)``: numerical rank; single-tuple relation with schema ``(C, rnk)``."""
-    return _apply("rnk", r, by, backend=backend, validate=validate)
+    return _apply("rnk", r, by, backend=backend)
 
 
-def chf(r, by, *, backend="auto", validate=True) -> DataFrame:
+def chf(r, by, *, backend="auto") -> DataFrame:
     """``chf_U(r)``: Cholesky factor (upper, ``RᵀR=A``); schema ``U ∘ Ū``."""
-    return _apply("chf", r, by, backend=backend, validate=validate)
+    return _apply("chf", r, by, backend=backend)
 
 
 #: name → callable, for the SQL front-end and generic tests.

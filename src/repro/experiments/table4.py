@@ -23,7 +23,7 @@ N_ROWS = 1000
 
 
 def wide_add_seconds(spark: SparkSession, n_attrs: int, n_rows: int = N_ROWS) -> float:
-    """Warm median seconds of one wide ``add`` (key-aligned, validation off, fully evaluated).
+    """Warm median seconds of one wide ``add`` (key-aligned, fully evaluated).
 
     With only 1000 tuples the cost is per-column planning/codegen, not
     data volume (exactly the regime Table 4 measures), so the shuffle
@@ -38,7 +38,7 @@ def wide_add_seconds(spark: SparkSession, n_attrs: int, n_rows: int = N_ROWS) ->
     prev = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", "8")
     try:
-        out = ops.add(r, s, ["id"], ["id2"], validate=False, align="keys")
+        out = ops.add(r, s, ["id"], ["id2"], align="keys")
         sec = warm_median(lambda: force(out))
     finally:
         spark.conf.set("spark.sql.shuffle.partitions", prev)

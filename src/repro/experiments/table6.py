@@ -55,7 +55,7 @@ def rma_qqr_seconds(spark: SparkSession, n_rows: int, n_app: int) -> tuple[float
     r.cache().count()
     backend = "local" if n_rows * n_app <= MKL_CELL_LIMIT else "bat"
     try:
-        sec = warm_median(lambda: ops.qqr(r, ["id"], backend=backend, validate=False).count())
+        sec = warm_median(lambda: ops.qqr(r, ["id"], backend=backend).count())
     finally:
         r.unpersist()
     return sec, backend

@@ -55,19 +55,18 @@ def rma_add_select_seconds(spark: SparkSession, n_rows: int) -> float:
     The Spark analogue of that storage layout is both inputs cached
     co-partitioned and sorted by their keys, which lets Catalyst elide
     the exchange and sort — the join degenerates into a per-partition
-    merge. Timed by :func:`~repro.experiments.harness.warm_median` (the
-    paper times warm kernels too: averages of 3 runs).
+    merge. The ``add`` is built (and its inputs validated) once, outside
+    the timing; :func:`~repro.experiments.harness.warm_median` times the
+    evaluation of add + selection (the paper times warm kernels too:
+    averages of 3 runs).
     """
     r, s = _inputs(spark, n_rows)
     ra = r.repartition(STORAGE_PARTITIONS, "id").sortWithinPartitions("id").cache()
     sa = s.repartition(STORAGE_PARTITIONS, "id2").sortWithinPartitions("id2").cache()
     ra.count(), sa.count()
     try:
-        def query() -> float:
-            out = ops.add(ra, sa, ["id"], ["id2"], validate=False, align="keys")
-            return force(out.filter(F.col("a0") > PREDICATE_THRESHOLD))
-
-        return warm_median(query)
+        out = ops.add(ra, sa, ["id"], ["id2"], align="keys")
+        return warm_median(lambda: force(out.filter(F.col("a0") > PREDICATE_THRESHOLD)))
     finally:
         ra.unpersist(), sa.unpersist()
 

@@ -9,8 +9,9 @@ is labelled by the name of its regressor.
 Relational subtlety: ``inv`` orders the Gram relation's rows by the
 ``C`` attribute (alphabetical), while its columns stay in schema order.
 To keep rows and columns of the Gram matrix aligned we rename the
-regressors to ``x00, x01, …`` (alphabetical = positional) and map the
-names back at the end — the RMA-level analogue of the paper's ordered
+regressors to ``x0, x1, …``, zero-padded to the width of the largest
+index (``x000 … x100`` for 100 regressors and the intercept), so that
+alphabetical order is positional order, and map the names back at the end — the RMA-level analogue of the paper's ordered
 attribute handling.
 """
 from __future__ import annotations
@@ -41,10 +42,11 @@ def ols(
     """
     by = [by] if isinstance(by, str) else list(by)
     xs = list(x_cols)
-    canon = {c: f"x{i:02d}" for i, c in enumerate(xs)}
+    width = len(str(len(xs)))  # the intercept, if any, is index len(xs)
+    canon = {c: f"x{i:0{width}d}" for i, c in enumerate(xs)}
     sel_a = [F.col(c) for c in by] + [F.col(c).cast("double").alias(a) for c, a in canon.items()]
     if intercept:
-        canon_all = {**canon, "intercept": f"x{len(xs):02d}"}
+        canon_all = {**canon, "intercept": f"x{len(xs):0{width}d}"}
         sel_a.append(F.lit(1.0).alias(canon_all["intercept"]))
     else:
         canon_all = canon

@@ -10,7 +10,6 @@ from helpers import KEY_CASES, key_case
 from repro.core.constructors import (
     application_schema,
     column_cast,
-    distinct_keys,
     matrix_constructor,
     matrix_constructor_complement,
     relation_constructor,
@@ -83,11 +82,16 @@ def test_split_sorted_matches_spark_order(spark, case):
 
 
 @pytest.mark.parametrize("case", KEY_CASES)
-def test_distinct_keys_match_spark_count_distinct(spark, case):
-    """Driver key count = ``count(DISTINCT struct(U))``: null≠NaN, NaN=NaN, 0.0=−0.0, null=null."""
+def test_split_sorted_key_verdict_matches_spark_count_distinct(spark, case):
+    """Given an op, the copy rejects exactly the relations where ``count(1) != count(DISTINCT struct(U))``:
+    null≠NaN, NaN=NaN, 0.0=−0.0, null=null."""
     r, by = key_case(spark, case)
-    (keys,) = r.agg(F.count_distinct(F.struct(*by))).first()
-    assert distinct_keys(split_sorted(r, by)[0]) == keys
+    n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
+    if n == keys:
+        assert len(split_sorted(r, by, "qqr")[0]) == n
+    else:
+        with pytest.raises(ValueError, match=rf"^qqr: order schema \[.*\] does not form a key$"):
+            split_sorted(r, by, "qqr")
 
 
 def test_column_cast_keeps_null_apart_from_nan(spark):

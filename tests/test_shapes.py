@@ -1,8 +1,10 @@
 """Shape-type registry tests — Table 1 of the paper, verbatim."""
+import inspect
+
 import numpy as np
 import pytest
 
-from repro.core import matrix_ops
+from repro.core import matrix_ops, ops
 from repro.core.shapes import (
     SHAPE_TYPES,
     Dim,
@@ -19,6 +21,17 @@ ALL_OPS = [
 def test_all_19_operations_registered():
     assert sorted(SHAPE_TYPES) == sorted(ALL_OPS)
     assert len(SHAPE_TYPES) == 19
+
+
+def test_public_ops_cover_table1_with_fixed_options():
+    """One public function per Table 1 operation; its only keyword-only
+    options are ``backend``, plus ``align`` for the linear operations."""
+    public = ops.UNARY_OPS | ops.BINARY_OPS
+    assert public.keys() == SHAPE_TYPES.keys()
+    for name, fn in public.items():
+        params = inspect.signature(fn).parameters.values()
+        options = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+        assert options == (["backend", "align"] if name in ("add", "sub", "emu") else ["backend"]), name
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,11 @@
 """Input validation: order schemas must be keys, application parts numeric."""
-import math
-
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from helpers import KEY_CASES, key_case, make_rel, spark_jobs
-from repro.core import ops
+from repro.core import distributed, ops
+from repro.core.constructors import split_sorted
 
 
 @pytest.fixture
@@ -34,11 +33,6 @@ def test_shared_input_key_check(dup_key):
     """``cpd(r, r)`` validates its one relation once, and still catches duplicates."""
     with pytest.raises(ValueError, match="does not form a key"):
         ops.cpd(dup_key, dup_key, ["k"], ["k"])
-
-
-def test_key_check_skippable_for_benchmarks(spark):
-    r = spark.createDataFrame(pd.DataFrame({"k": ["a", "b"], "v": [1.0, 2.0], "w": [0.0, 1.0]}))
-    assert ops.qqr(r, ["k"], validate=False).count() == 2
 
 
 def test_spark_mmu_checks_its_collected_operand(spark, dup_key):
@@ -140,32 +134,37 @@ def test_local_call_collects_each_input_once(spark, rel_pair, op):
     r, s = rel_pair
     inputs = [r, s] if op == "cpd" else [r]
     call = {
-        "qqr": lambda v: ops.qqr(r, "id", validate=v),
-        "tra": lambda v: ops.tra(r, "id", validate=v),
-        "cpd": lambda v: ops.cpd(r, s, "id", "id", validate=v),
+        "qqr": lambda: ops.qqr(r, "id"),
+        "tra": lambda: ops.tra(r, "id"),
+        "cpd": lambda: ops.cpd(r, s, "id", "id"),
     }[op]
     collects = sum(_jobs(spark, lambda: x.select(*x.columns).toPandas()) for x in inputs)
-    assert _jobs(spark, lambda: call(True)) == _jobs(spark, lambda: call(False)) == collects
+    assert _jobs(spark, call) == collects
 
 
 @pytest.mark.parametrize("op", ["add", "cpd", "mmu"])
 def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
     """Inputs that stay in the engine are validated by one aggregation each.
 
+    The call costs its kernel's jobs plus one aggregation per engine input.
     The spark ``mmu`` copies its right operand to the driver, so only its
-    left operand pays an aggregation.
+    left operand pays an aggregation; the copy validates the right one.
     """
     r, s = rel_pair
     s = s.select(s["id"].alias("id2"), s["b00"].alias("a00"), s["b01"].alias("a01"), F.lit(1.0).alias("a02"))
     t, _ = make_rel(spark, 3, 2, seed=3, key="id2", prefix="b")  # 3 rows: one per attribute of r
-    inputs, call = {
-        "add": ([(r, "id"), (s, "id2")], lambda v: ops.add(r, s, "id", "id2", validate=v)),
-        "cpd": ([(r, "id")], lambda v: ops.cpd(r, r, "id", "id", validate=v)),  # r once
-        "mmu": ([(r, "id")], lambda v: ops.mmu(r, t, "id", "id2", backend="spark", validate=v)),
+    app = ["a00", "a01", "a02"]
+    inputs, call, kernel = {
+        "add": ([(r, "id"), (s, "id2")], lambda: ops.add(r, s, "id", "id2"),
+                lambda: distributed.zip_linear(r, ["id"], s, ["id2"], app, app, "add", ["id", "id2", *app])),
+        "cpd": ([(r, "id")], lambda: ops.cpd(r, r, "id", "id"),  # r once
+                lambda: distributed.gram(r, app)),
+        "mmu": ([(r, "id")], lambda: ops.mmu(r, t, "id", "id2", backend="spark"),
+                lambda: distributed.mmu_rows(r, ["id"], app, split_sorted(t, ["id2"])[1], ["b00", "b01"])),
     }[op]
     aggs = sum(_jobs(spark, lambda: x.agg(F.count(F.lit(1)), F.count_distinct(F.struct(by))).first())
                for x, by in inputs)
-    assert _jobs(spark, lambda: call(True)) - _jobs(spark, lambda: call(False)) == aggs
+    assert _jobs(spark, call) - _jobs(spark, kernel) == aggs
 
 
 def test_spark_sol_costs_no_more_jobs_than_cpd(spark, rel_pair):
@@ -179,7 +178,7 @@ def test_spark_sol_costs_no_more_jobs_than_cpd(spark, rel_pair):
 
 _BACKENDS = ("local", "spark", "bat")
 _NULL_CALLS = [*[("qqr", b, "r") for b in _BACKENDS],
-               *[("add", b, side) for b in _BACKENDS for side in "rs"]]
+               *[("add", b, side) for b in ("local", "spark") for side in "rs"]]
 _ROWS = [("a", 1.0, 2.0), ("b", 4.0, 1.0), ("c", 3.0, 5.0)]
 
 
@@ -203,15 +202,6 @@ def test_null_application_value_rejected(spark, op, backend, side):
         call = lambda: ops.add(r, s, ["k"], ["k2"], backend=backend)  # noqa: E731
     with pytest.raises(ValueError, match=rf"^{op}: application attribute\(s\) \['v'\] hold nulls$"):
         call()
-
-
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_null_check_skipped_without_validation(spark, backend):
-    """``validate=False`` skips the null check, like the key check: the cell comes out null or NaN."""
-    s = spark.createDataFrame(_ROWS, "k2 string, v double, w double")
-    out = ops.add(_with_null(spark), s, ["k"], ["k2"], backend=backend, validate=False)
-    row = out.filter("k = 'b'").first()
-    assert (row["v"] is None or math.isnan(row["v"])) and row["w"] == 2.0
 
 
 _SHAPE_CALLS = [*[(op, b) for op in ("qqr", "rqr") for b in _BACKENDS], ("rnk", "local")]

@@ -111,6 +111,23 @@ def test_ols_matches_lstsq_multiple_regression(spark):
     assert got["intercept"] == pytest.approx(expect[k], abs=1e-6)
 
 
+@pytest.mark.parametrize("k", [99, 100])
+def test_ols_many_regressors_match_lstsq(spark, k):
+    """From 100 regressors on, the renamed regressors still sort in positional order."""
+    import pandas as pd
+
+    g = np.random.default_rng(k)
+    n = 400
+    x = g.standard_normal((n, k))
+    y = x @ g.standard_normal(k) + 3.0 + g.normal(0, 0.1, n)
+    pdf = pd.DataFrame(x, columns=[f"d{j}" for j in range(k)])
+    pdf["i"], pdf["y"] = np.arange(n), y
+    beta = ols(spark.createDataFrame(pdf), "i", [f"d{j}" for j in range(k)], "y")
+    got = {row["C"]: row["y"] for row in beta.collect()}
+    expect, *_ = np.linalg.lstsq(np.column_stack([x, np.ones(n)]), y, rcond=None)
+    assert np.allclose([got[f"d{j}"] for j in range(k)] + [got["intercept"]], expect, rtol=0, atol=1e-8)
+
+
 def test_ols_without_intercept(spark):
     import pandas as pd
 
