@@ -111,13 +111,12 @@ def test_ols_matches_lstsq_multiple_regression(spark):
     assert got["intercept"] == pytest.approx(expect[k], abs=1e-6)
 
 
-@pytest.mark.parametrize("k", [99, 100])
-def test_ols_many_regressors_match_lstsq(spark, k):
+def test_ols_100_regressors_match_lstsq(spark):
     """From 100 regressors on, the renamed regressors still sort in positional order."""
     import pandas as pd
 
-    g = np.random.default_rng(k)
-    n = 400
+    g = np.random.default_rng(100)
+    n, k = 400, 100
     x = g.standard_normal((n, k))
     y = x @ g.standard_normal(k) + 3.0 + g.normal(0, 0.1, n)
     pdf = pd.DataFrame(x, columns=[f"d{j}" for j in range(k)])
