@@ -67,15 +67,13 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     by = list(by)
     app = application_schema(r, by)
     t = r.toArrow()
-    if op is not None:
-        check_no_nulls(op, [c for c in app if t[c].null_count])
     ranks = [_ranks(t[c]) for c in by]
     perm = np.lexsort(ranks[::-1]) if by else np.arange(t.num_rows)
     if op is not None:
-        tie = np.ones(max(t.num_rows - 1, 0), dtype=bool)  # row i ties row i + 1
+        check_no_nulls(op, [c for c in app if t[c].null_count])
+        tie = np.ones(max(t.num_rows - 1, 0), dtype=bool)  # row i of the sort ties row i + 1
         for rk in ranks:
-            rk = rk[perm]
-            tie &= rk[1:] == rk[:-1]
+            tie &= np.diff(rk[perm]) == 0
         if tie.any():
             raise ValueError(f"{op}: order schema {by} does not form a key")
     # A table without columns keeps its row count, but not through take.
