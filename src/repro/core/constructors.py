@@ -30,6 +30,14 @@ from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
 
 
+#: Spark's guard on the bytes one action may collect to the driver.
+_MAX_RESULT_SIZE = "spark.driver.maxResultSize"
+
+
+class DriverLimitError(ValueError):
+    """μ's collect was aborted: the input does not fit ``spark.driver.maxResultSize``."""
+
+
 def application_schema(r: DataFrame, by: Sequence[str]) -> list[str]:
     """``Ū = R - U``: the attributes of ``r`` not in order schema ``by``.
 
@@ -63,10 +71,20 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     two neighbours of the sort with equal ranks in every order attribute,
     which is Spark's grouping equality (null equals null but not NaN, NaN
     equals NaN, ``-0.0`` equals ``0.0``).
+
+    Spark aborts the collect when it exceeds ``spark.driver.maxResultSize``;
+    that raises :class:`DriverLimitError`, naming ``op`` and the limit.
     """
     by = list(by)
     app = application_schema(r, by)
-    t = r.toArrow()
+    try:
+        t = r.toArrow()
+    except Exception as e:  # Spark aborts the collect job; pyspark re-raises the JVM error
+        if _MAX_RESULT_SIZE not in str(e):
+            raise
+        limit = r.sparkSession.sparkContext.getConf().get(_MAX_RESULT_SIZE, "1g")
+        raise DriverLimitError(f"{op or 'μ'}: the input does not fit {_MAX_RESULT_SIZE} = {limit} "
+                               "on the driver") from None
     ranks = [_ranks(t[c]) for c in by]
     perm = np.lexsort(ranks[::-1]) if by else np.arange(t.num_rows)
     if op is not None:

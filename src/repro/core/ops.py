@@ -37,9 +37,11 @@ Backends (``backend=`` keyword):
   ``add``/``sub``/``emu``, ``cpd``, ``sol``, ``mmu``, ``qqr``, ``rqr``.
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
   ``inv`` (Algorithm 2) and ``qqr``/``rqr`` (Gram-Schmidt).
-- ``"auto"`` — the paper's policy (§8): linear operations and the self
-  cross product ``cpd(r, r)`` stay in the engine, everything else
-  delegates to the LAPACK backend.
+- ``"auto"`` — ``local`` for every operation, as long as each copy fits
+  ``spark.driver.maxResultSize``. When Spark aborts a copy for exceeding
+  it, ``add``/``sub``/``emu``/``cpd``/``mmu`` rerun on their spark kernel,
+  which is as accurate as LAPACK; the other operations raise a
+  ``ValueError`` naming the operation and the limit.
 """
 from __future__ import annotations
 
@@ -54,6 +56,7 @@ from pyspark.sql import types as T
 from repro.batops import kernels as bat
 from repro.core import distributed, matrix_ops
 from repro.core.constructors import (
+    DriverLimitError,
     application_schema,
     check_no_nulls,
     column_cast,
@@ -112,12 +115,16 @@ _KERNELS = {
 }
 
 
-def _backend(op: str, backend: str, shared: bool) -> str:
-    """Resolve ``auto``; reject unknown backends and those without a kernel for ``op``."""
-    if backend == "auto":
-        return "spark" if shape_type(op).rows is Dim.RS or (op == "cpd" and shared) else "local"
-    if backend == "local" or op in _KERNELS.get(backend, ()):
-        return backend
+#: Operations whose spark kernel is as accurate as LAPACK, so that ``auto``
+#: reruns them there when an input does not fit on the driver. CholeskyQR
+#: (``qqr``/``rqr``) and the normal equations (``sol``) square κ: those raise.
+_FALLBACK = ("add", "sub", "emu", "cpd", "mmu")
+
+
+def _backend(op: str, backend: str) -> str:
+    """Resolve ``auto`` to ``local``; reject unknown backends and those without a kernel for ``op``."""
+    if backend in ("auto", "local") or op in _KERNELS.get(backend, ()):
+        return "local" if backend == "auto" else backend
     usable = ["auto", "local", *[b for b, table in _KERNELS.items() if op in table]]
     raise ValueError(f"{op}: no {backend.upper()} kernel for backend={backend!r}; use one of {usable}")
 
@@ -157,6 +164,39 @@ def _tuples(r: DataFrame, by: list[str], app: list[str], op: str) -> int:
     return n
 
 
+def _copies(op: str, binary: bool, r: DataFrame, by: list[str], s: DataFrame | None,
+            by2: list[str], shared: bool, backend: str) -> tuple:
+    """μ of each input that ``backend``'s kernel reads on the driver: ``(order_r, m, order_s, n)``.
+
+    A LAPACK/BAT kernel reads every input there, the spark ``mmu`` its
+    right operand; ``None`` stands for an input that stays in the engine.
+    ``split_sorted`` validates each copy; a shared input is copied once.
+    """
+    local = backend != "spark"
+    order_r, m = split_sorted(r, by, op) if local else (None, None)
+    if binary and shared and local:
+        return order_r, m, order_r, m
+    if binary and (local or op == "mmu"):
+        return order_r, m, *split_sorted(s, by2, op)
+    return order_r, m, None, None
+
+
+def _same_keys(order_r, order_s) -> bool:
+    """Whether the i-th rows of two sorted order parts join, for every i.
+
+    Join equality: a null matches nothing, NaN equals NaN, ``-0.0``
+    equals ``0.0``. Both parts are keys of equally many rows, so this
+    holds exactly when they hold the same key values.
+    """
+    for a, b in zip(order_r.columns, order_s.columns):
+        if a.null_count or b.null_count:
+            return False
+        a, b = a.to_numpy(), b.to_numpy()
+        if not np.all((a == b) | ((a != a) & (b != b))):
+            return False
+    return True
+
+
 def _apply(
     op: str,
     r: DataFrame,
@@ -171,7 +211,8 @@ def _apply(
     st = shape_type(op)
     by, by2 = _norm(by), _norm(by2)
     shared = s is r and by2 == by
-    backend = _backend(op, backend, shared)
+    auto = backend == "auto"
+    backend = _backend(op, backend)
     if align not in _ALIGNS:
         raise ValueError(f"{op}: unknown align {align!r}; use one of {list(_ALIGNS)}")
     if align == "keys" and len(by) != len(by2):
@@ -190,17 +231,18 @@ def _apply(
             f"got {len(app_r)} vs {len(app_s)} attributes"
         )
 
-    # μ copies every input of a LAPACK/BAT kernel, and the right operand of the
-    # spark mmu, to the driver; split_sorted validates a copied input on its
-    # copy, and an input that stays in the engine pays one aggregation.
-    local = backend != "spark"
-    order_r, m = split_sorted(r, by, op) if local else (None, None)
-    if st.binary and shared and local:
-        order_s, n = order_r, m
-    elif st.binary and (local or op == "mmu"):
-        order_s, n = split_sorted(s, by2, op)
-    else:
-        order_s = n = None
+    # μ copies what the kernel reads on the driver; under auto, a copy that
+    # Spark aborts sends the call to the engine. An input that stays in the
+    # engine pays one validating aggregation.
+    try:
+        order_r, m, order_s, n = _copies(op, st.binary, r, by, s, by2, shared, backend)
+    except DriverLimitError as e:
+        if not auto:
+            raise
+        if op not in _FALLBACK:
+            raise DriverLimitError(f"{e}; {op} has no spark kernel as accurate as LAPACK") from None
+        backend = "spark"
+        order_r, m, order_s, n = _copies(op, st.binary, r, by, s, by2, shared, backend)
     copy_r = order_s if shared else order_r
     n_r = _tuples(r, by, app_r, op) if copy_r is None else copy_r.num_rows
     if shared or not st.binary:
@@ -230,11 +272,15 @@ def _apply(
 
     if backend == "spark":
         base = _KERNELS["spark"][op](_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared))
-        if isinstance(base, DataFrame):
-            return base
     else:
         kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
         base = kernel(m, n) if st.binary else kernel(m)
+    # The spark kernel joins on the keys; LAPACK pairs the i-th sorted rows,
+    # which is the same pairing exactly when the key values are the same.
+    if align == "keys" and not (base.count() == n_r if backend == "spark" else _same_keys(order_r, order_s)):
+        raise ValueError(f"{op}: align='keys' needs both order schemas to hold the same key values")
+    if isinstance(base, DataFrame):
+        return base
     origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}
     parts = origins.get(st.rows, [np.array([[op]], dtype=object)])
     return relation_constructor(r.sparkSession, [*parts, base], schema)
@@ -270,9 +316,10 @@ def opd(r, s, by, by2, *, backend="auto") -> DataFrame:
 def cpd(r, s, by, by2, *, backend="auto") -> DataFrame:
     """``cpd_{U;V}(r, s)``: cross product ``AᵀB``; schema ``(C) ∘ V̄``.
 
-    With ``backend="auto"`` the self cross product (``r is s``) runs
-    distributed via partial Gram matrices (no sort — §8.1 optimisation);
-    the general case runs locally.
+    With ``backend="auto"`` it runs on LAPACK; the self cross product
+    (``r is s``) copies its one input once. Only an input too large for
+    the driver runs distributed, via partial Gram matrices, and the self
+    cross product then needs no sort (§8.1 optimisation).
     """
     return _apply("cpd", r, by, s, by2, backend=backend)
 

@@ -3,7 +3,7 @@
 ``covariance`` follows the paper's w1–w7 steps literally (aggregate for
 the expectations, ``sub`` to centre, ``tra`` + ``mmu`` for
 ``XᵀX``, scalar division by ``n-1``); ``covariance_via_cpd`` computes
-the same result with a single distributed ``cpd`` (the variant used for
+the same result with a single self ``cpd`` (the variant used for
 the Conferences workload, where the paper calls ``cblas_dsyrk``).
 Both return a relation with schema ``(C) ∘ Ū`` — the covariance matrix
 *with origins*: C values are the application attribute names, which is
@@ -46,7 +46,7 @@ def covariance(r: DataFrame, by: str | Sequence[str], *, backend: str = "auto") 
 
 
 def covariance_via_cpd(r: DataFrame, by: str | Sequence[str], *, backend: str = "auto") -> DataFrame:
-    """Unbiased covariance via a single (distributed) self cross product."""
+    """Unbiased covariance via a single self cross product (distributed with ``backend="spark"``)."""
     by = [by] if isinstance(by, str) else list(by)
     app = application_schema(r, by)
     n = r.count()

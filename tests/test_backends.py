@@ -155,6 +155,40 @@ def _is_key(rows):
     return 0 < len(set(keys)) == len(keys)
 
 
+def _keyed_pair(spark, case):
+    """Relations r and s (order attributes renamed ``…_2``) and their order schemas, for ``align="keys"``.
+
+    A ``KEY_CASES`` name pairs its relation with a copy of itself; ``unequal``
+    pairs keys {1, 2, 3} with {2, 3, 4}, ``join_equal`` pairs ``-0.0``/NaN/1
+    with ``0.0``/NaN/1, equal key values under join equality.
+    """
+    if case in KEY_CASES:
+        r, by = key_case(spark, case)
+        by2 = [f"{c}_2" for c in by]
+        return r, r.select(*[F.col(c).alias(c2) for c, c2 in zip(by, by2)], "v"), by, by2
+    left, right = {"unequal": ([1.0, 2.0, 3.0], [2.0, 3.0, 4.0]),
+                   "join_equal": ([-0.0, float("nan"), 1.0], [0.0, float("nan"), 1.0])}[case]
+    r = spark.createDataFrame([(k, 10.0 * i) for i, k in enumerate(left, 1)], "k double, v double")
+    s = spark.createDataFrame([(k, float(i)) for i, k in enumerate(right, 1)], "k_2 double, v double")
+    return r, s, ["k"], ["k_2"]
+
+
+@pytest.mark.parametrize("case", [*KEY_CASES, "unequal", "join_equal"])
+def test_key_alignment_agrees_across_backends(spark, case):
+    """``align="keys"`` on local and spark: the same relation, or the same error."""
+    r, s, by, by2 = _keyed_pair(spark, case)
+    outcomes = []
+    for backend in ("local", "spark"):
+        try:
+            out = ops.add(r, s, by, by2, backend=backend, align="keys")
+            outcomes.append((out.columns, Counter(tuple(map(_origin, row)) for row in out.collect())))
+        except ValueError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    if case == "unequal":
+        assert outcomes[0] == "add: align='keys' needs both order schemas to hold the same key values"
+
+
 _ORIGIN_CALLS = [*[("qqr", b) for b in ("local", "spark", "bat")], ("add", "local")]
 
 
@@ -188,23 +222,92 @@ from repro.core import ops
 spark = SparkSession.builder.getOrCreate()
 r = spark.createDataFrame([(f"k{{i}}", float(i), float(i * i % 7)) for i in range(20)], "id string, a double, b double")
 s = spark.createDataFrame([("a", 1.0, 2.0), ("b", 3.0, 4.0)], "k string, x double, y double")
-for out in (ops.qqr(r, ["id"], backend="spark"), ops.cpd(r, r, ["id"], ["id"]),
+for out in (ops.qqr(r, ["id"], backend="spark"), ops.cpd(r, r, ["id"], ["id"], backend="spark"),
             ops.mmu(r, s, ["id"], ["k"], backend="spark")):
     assert out.count() > 0
 spark.stop()
 """
 
 
-def test_spark_kernels_run_without_the_package_on_workers(tmp_path):
-    """Python workers need not import ``repro``: the kernels' bodies use only numpy and pyarrow."""
+def _run_spark_script(script, tmp_path, conf=""):
+    """Run ``script`` (formatted with ``src``) in a fresh Python with its own local[2] Spark driver.
+
+    ``src`` is only on the driver's ``sys.path``; ``conf`` adds ``--conf`` options, e.g. ones
+    Spark fixes when the driver starts.
+    """
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYSPARK_PYTHON"] = sys.executable
     env["PYSPARK_SUBMIT_ARGS"] = ("--master local[2] --driver-memory 1g --conf spark.driver.host=127.0.0.1 "
-                                  "--conf spark.ui.enabled=false pyspark-shell")
-    proc = subprocess.run([sys.executable, "-c", _WORKER_SCRIPT.format(src=str(src))], cwd=tmp_path,
+                                  f"--conf spark.ui.enabled=false {conf} pyspark-shell")
+    proc = subprocess.run([sys.executable, "-c", script.format(src=str(src))], cwd=tmp_path,
                           env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr[-4000:]
+
+
+def test_spark_kernels_run_without_the_package_on_workers(tmp_path):
+    """Python workers need not import ``repro``: the kernels' bodies use only numpy and pyarrow."""
+    _run_spark_script(_WORKER_SCRIPT, tmp_path)
+
+
+#: 60K×4 doubles plus a long key: each input is about 2.4 MB as Arrow, over a 1 MB limit.
+_DRIVER_LIMIT_SCRIPT = """
+import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+import pandas as pd
+from pyspark.sql import SparkSession
+from pyspark.sql import functions as F
+from repro.core import ops
+
+spark = SparkSession.builder.getOrCreate()
+g = np.random.default_rng(0)
+n, app = 60_000, ["a0", "a1", "a2", "a3"]
+
+
+def rel(m, key):
+    pdf = pd.DataFrame(m, columns=app)
+    pdf.insert(0, key, np.arange(n))
+    return spark.createDataFrame(pdf.sample(frac=1.0, random_state=1))
+
+
+a, b = g.random((n, 4)), g.random((n, 4))
+r, s, want = rel(a, "id"), rel(b, "id2"), rel(a + b, "w").withColumnRenamed("w", "id")
+
+
+def raises(call, prefix):
+    try:
+        call()
+    except ValueError as e:
+        assert str(e).startswith(prefix) and "spark.driver.maxResultSize = 1m" in str(e), str(e)
+    else:
+        raise AssertionError(prefix + " did not raise")
+
+
+for align in ("position", "keys"):
+    out = ops.add(r, s, ["id"], ["id2"], align=align)  # auto: reruns on the spark kernel
+    err = out.join(want, "id").agg(F.count(F.lit(1)), *[F.max(F.abs(out[c] - want[c])) for c in app]).first()
+    assert err[0] == n and max(err[1:]) <= 1e-12, (align, err)
+gram = ops.cpd(r, r, ["id"], ["id"]).toPandas().set_index("C").loc[app, app].to_numpy()
+assert np.allclose(gram, a.T @ a, rtol=1e-12), gram
+raises(lambda: ops.qqr(r, ["id"]), "qqr: ")
+raises(lambda: ops.add(r, s, ["id"], ["id2"], backend="local"), "add: ")
+spark.stop()
+"""
+
+
+def test_auto_falls_back_to_the_engine_over_the_driver_limit(tmp_path):
+    """An ``auto`` input over ``spark.driver.maxResultSize`` runs ``add`` and ``cpd(r, r)`` in the
+    engine; ``qqr``, which has no kernel there as accurate as LAPACK, and an explicit ``local``
+    call raise a ``ValueError`` naming the operation and the limit.
+
+    The limit is fixed when the driver starts, so the calls run in a driver of their own. Broadcast
+    joins are off, as in the test session: the check joins the result with the expected values,
+    and a broadcast collects its side to the driver, which Spark's default threshold for one
+    (10 MB) lets go over this limit.
+    """
+    _run_spark_script(_DRIVER_LIMIT_SCRIPT, tmp_path,
+                      "--conf spark.driver.maxResultSize=1m --conf spark.sql.autoBroadcastJoinThreshold=-1")
 
 
 def test_gram_exact_across_partitions(spark, rel_factory):
@@ -247,17 +350,16 @@ def test_spark_backend_never_sorts_globally(rel_factory):
 
 _DISTRIBUTED = ("zip_linear", "gram", "qqr_rows", "rqr_matrix", "mmu_rows")
 _AUTO_CASES = [
-    *[(op, "distributed.zip_linear") for op in ("add", "sub", "emu")],
-    ("cpd(r, r)", "distributed.gram"),
-    *[(op, f"matrix_ops.{op}") for op in ("cpd", "sol", "mmu", "opd")],
+    *[(op, f"matrix_ops.{op}") for op in ops.BINARY_OPS],
+    ("cpd(r, r)", "matrix_ops.cpd"),
     *[(op, f"matrix_ops.{op}") for op in ops.UNARY_OPS],
 ]
 
 
 @pytest.mark.parametrize("op,kernel", _AUTO_CASES, ids=[c[0] for c in _AUTO_CASES])
 def test_auto_backend_policy(monkeypatch, rel_factory, op, kernel):
-    """``backend="auto"``: linear ops and ``cpd(r, r)`` stay in the engine,
-    everything else (``qqr``/``rqr``/``sol``/``mmu`` included) runs LAPACK.
+    """``backend="auto"``: every operation whose inputs fit on the driver runs
+    LAPACK, linear ops and ``cpd(r, r)`` included, and no distributed kernel.
 
     The spies replace kernels after import, so they also prove that ops
     looks kernels up when the call runs (the benchmark tracer relies on it).

@@ -102,6 +102,21 @@ def test_table6_tiny_run(spark):
     assert out[0]["rma_backend"] == "local"
 
 
+@pytest.mark.parametrize("cell", ["table4", "table7"])
+def test_add_cells_time_the_distributed_kernel(spark, monkeypatch, cell):
+    """Tables 4 and 7 time the paper's in-kernel ``add``, not a copy to the driver."""
+    from repro.core import distributed
+
+    ran = []
+    zip_linear = distributed.zip_linear
+    monkeypatch.setattr(distributed, "zip_linear", lambda *a, **kw: ran.append(1) or zip_linear(*a, **kw))
+    if cell == "table4":
+        table4.wide_add_seconds(spark, 3, n_rows=20)
+    else:
+        table7.rma_add_select_seconds(spark, 200)
+    assert ran == [1]
+
+
 def test_table7_paper_numbers_recorded():
     assert table7.PAPER[1_000_000] == {"RMA+": 4.6, "SciDB": 81.0}
     assert table7.PAPER[15_000_000]["SciDB"] == 1103.0

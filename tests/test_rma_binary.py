@@ -111,9 +111,9 @@ def test_cpd_schema_and_values(rel_factory, n, k1, k2):
 
 def test_cpd_self_distributed_equals_local(rel_factory):
     r, m = rel_factory(50, 4, seed=9)
-    auto = ops.cpd(r, r, ["id"], ["id"])  # auto → distributed self-Gram
+    dist = ops.cpd(r, r, ["id"], ["id"], backend="spark")  # distributed self-Gram
     local = ops.cpd(r, r, ["id"], ["id"], backend="local")
-    a = auto.orderBy("C").toPandas()
+    a = dist.orderBy("C").toPandas()
     b = local.orderBy("C").toPandas()
     assert a["C"].tolist() == b["C"].tolist()
     cols = [c for c in a.columns if c != "C"]

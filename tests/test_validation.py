@@ -128,15 +128,27 @@ def rel_pair(spark):
     return r, s
 
 
-@pytest.mark.parametrize("op", ["qqr", "tra", "cpd"])
+def _union_compatible(s):
+    """``s`` of ``rel_pair`` with key ``id2`` and the three application attributes of ``r``."""
+    return s.select(s["id"].alias("id2"), s["b00"].alias("a00"), s["b01"].alias("a01"), F.lit(1.0).alias("a02"))
+
+
+@pytest.mark.parametrize("op", ["qqr", "tra", "cpd", "add", "sub", "cpd(r, r)"])
 def test_local_call_collects_each_input_once(spark, rel_pair, op):
-    """A local call costs one plain collect per input; validating it starts no job."""
+    """A local call costs one plain collect per input; validating it starts no job.
+
+    ``auto`` runs every call here, the linear ops and ``cpd(r, r)`` included,
+    and copies the one input of ``cpd(r, r)`` once.
+    """
     r, s = rel_pair
-    inputs = [r, s] if op == "cpd" else [r]
-    call = {
-        "qqr": lambda: ops.qqr(r, "id"),
-        "tra": lambda: ops.tra(r, "id"),
-        "cpd": lambda: ops.cpd(r, s, "id", "id"),
+    t = _union_compatible(s)
+    inputs, call = {
+        "qqr": ([r], lambda: ops.qqr(r, "id")),
+        "tra": ([r], lambda: ops.tra(r, "id")),
+        "cpd": ([r, s], lambda: ops.cpd(r, s, "id", "id")),
+        "add": ([r, t], lambda: ops.add(r, t, "id", "id2")),
+        "sub": ([r, t], lambda: ops.sub(r, t, "id", "id2")),
+        "cpd(r, r)": ([r], lambda: ops.cpd(r, r, "id", "id")),
     }[op]
     collects = sum(_jobs(spark, lambda: x.select(*x.columns).toPandas()) for x in inputs)
     assert _jobs(spark, call) == collects
@@ -151,13 +163,13 @@ def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
     left operand pays an aggregation; the copy validates the right one.
     """
     r, s = rel_pair
-    s = s.select(s["id"].alias("id2"), s["b00"].alias("a00"), s["b01"].alias("a01"), F.lit(1.0).alias("a02"))
+    s = _union_compatible(s)
     t, _ = make_rel(spark, 3, 2, seed=3, key="id2", prefix="b")  # 3 rows: one per attribute of r
     app = ["a00", "a01", "a02"]
     inputs, call, kernel = {
-        "add": ([(r, "id"), (s, "id2")], lambda: ops.add(r, s, "id", "id2"),
+        "add": ([(r, "id"), (s, "id2")], lambda: ops.add(r, s, "id", "id2", backend="spark"),
                 lambda: distributed.zip_linear(r, ["id"], s, ["id2"], app, app, "add", ["id", "id2", *app])),
-        "cpd": ([(r, "id")], lambda: ops.cpd(r, r, "id", "id"),  # r once
+        "cpd": ([(r, "id")], lambda: ops.cpd(r, r, "id", "id", backend="spark"),  # r once
                 lambda: distributed.gram(r, app)),
         "mmu": ([(r, "id")], lambda: ops.mmu(r, t, "id", "id2", backend="spark"),
                 lambda: distributed.mmu_rows(r, ["id"], app, split_sorted(t, ["id2"])[1], ["b00", "b01"])),
