@@ -68,6 +68,7 @@ from repro.core.shapes import Dim, shape_type
 
 C_ATTR = "C"
 _ALIGNS = ("position", "keys")
+_KEY_SETS = "align='keys' needs both order schemas to hold the same key values"
 
 _NUMERIC = (T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.FloatType, T.DoubleType, T.DecimalType)
 
@@ -257,6 +258,12 @@ def _apply(
                          f"attributes, got {n_r} tuples for {len(app_r)} attributes")
     if op == "rnk" and n_r == 0:
         raise ValueError("rnk: the relation has no tuples")
+    # LAPACK pairs the i-th sorted rows, the spark kernel joins on the keys:
+    # the same pairing exactly when both hold the same key values. The
+    # sorted order parts tell that before any matrix work; the spark kernel
+    # counts its join's rows after it.
+    if align == "keys" and backend != "spark" and not _same_keys(order_r, order_s):
+        raise ValueError(f"{op}: {_KEY_SETS}")
 
     rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
     if cast is not None:
@@ -275,10 +282,8 @@ def _apply(
     else:
         kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
         base = kernel(m, n) if st.binary else kernel(m)
-    # The spark kernel joins on the keys; LAPACK pairs the i-th sorted rows,
-    # which is the same pairing exactly when the key values are the same.
-    if align == "keys" and not (base.count() == n_r if backend == "spark" else _same_keys(order_r, order_s)):
-        raise ValueError(f"{op}: align='keys' needs both order schemas to hold the same key values")
+    if align == "keys" and backend == "spark" and base.count() != n_r:
+        raise ValueError(f"{op}: {_KEY_SETS}")
     if isinstance(base, DataFrame):
         return base
     origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}

@@ -14,26 +14,29 @@ from helpers import sorted_matrix, spark_jobs
 def test_linear_schema_and_values(rel_factory, op, n, k):
     r, m = rel_factory(n, k, seed=1)
     s, nn = rel_factory(n, k, seed=2, key="id2", prefix="b")
-    out = getattr(ops, op)(r, s, ["id"], ["id2"])
     app = [f"a{j:02d}" for j in range(k)]
-    assert out.columns == ["id", "id2"] + app  # U ∘ V ∘ Ū
     base = getattr(M, op)(m, nn)
-    assert np.allclose(sorted_matrix(out, ["id"], app), base)
-    # both order parts survive: the i-th sorted keys are paired
-    pdf = out.orderBy("id").toPandas()
-    assert pdf["id"].tolist() == [f"k{i:03d}" for i in range(n)]
-    assert pdf["id2"].tolist() == [f"k{i:03d}" for i in range(n)]
+    for backend in ("auto", "spark"):
+        out = getattr(ops, op)(r, s, ["id"], ["id2"], backend=backend)
+        assert out.columns == ["id", "id2"] + app  # U ∘ V ∘ Ū
+        assert np.allclose(sorted_matrix(out, ["id"], app), base)
+        # both order parts survive: the i-th sorted keys are paired
+        pdf = out.orderBy("id").toPandas()
+        assert pdf["id"].tolist() == [f"k{i:03d}" for i in range(n)]
+        assert pdf["id2"].tolist() == [f"k{i:03d}" for i in range(n)]
 
 
 def test_linear_pairs_by_sort_order_not_by_name(spark):
     """Row pairing follows the order schemas, even with disjoint key values."""
     r = spark.createDataFrame(pd.DataFrame({"t": ["a", "b"], "v": [1.0, 2.0]}))
     s = spark.createDataFrame(pd.DataFrame({"u": ["z", "y"], "w": [10.0, 20.0]}))
-    out = ops.add(r, s, ["t"], ["u"]).orderBy("t").toPandas()
-    # sorted r: a(1), b(2); sorted s: y(20), z(10) → pairs (a,y,21), (b,z,12)
-    assert out["t"].tolist() == ["a", "b"]
-    assert out["u"].tolist() == ["y", "z"]
-    assert out["v"].tolist() == [21.0, 12.0]
+    for backend in ("auto", "spark"):
+        out = ops.add(r, s, ["t"], ["u"], backend=backend).orderBy("t").toPandas()
+        # sorted r: a(1), b(2); sorted s: y(20), z(10) → pairs (a,y,21), (b,z,12)
+        assert out.columns.tolist() == ["t", "u", "v"]
+        assert out["t"].tolist() == ["a", "b"]
+        assert out["u"].tolist() == ["y", "z"]
+        assert out["v"].tolist() == [21.0, 12.0]
 
 
 def test_linear_overlapping_order_schemas_raise(rel_factory):

@@ -31,8 +31,9 @@ def test_null_keys_are_duplicates(spark):
 
 def test_shared_input_key_check(dup_key):
     """``cpd(r, r)`` validates its one relation once, and still catches duplicates."""
-    with pytest.raises(ValueError, match="does not form a key"):
-        ops.cpd(dup_key, dup_key, ["k"], ["k"])
+    for backend in ("auto", "spark"):  # the driver copy, and the engine aggregation
+        with pytest.raises(ValueError, match="does not form a key"):
+            ops.cpd(dup_key, dup_key, ["k"], ["k"], backend=backend)
 
 
 def test_spark_mmu_checks_its_collected_operand(spark, dup_key):
@@ -45,8 +46,11 @@ def test_binary_key_check_covers_both_sides(spark, dup_key):
     ok = spark.createDataFrame(
         pd.DataFrame({"k2": ["a", "b", "c"], "v": [1.0, 2.0, 3.0], "w": [1.0, 1.0, 1.0]})
     )
-    with pytest.raises(ValueError, match="does not form a key"):
-        ops.add(ok, dup_key, ["k2"], ["k"])
+    for backend in ("auto", "spark"):
+        with pytest.raises(ValueError, match="does not form a key"):
+            ops.add(ok, dup_key, ["k2"], ["k"], backend=backend)
+        with pytest.raises(ValueError, match="does not form a key"):
+            ops.add(dup_key, ok, ["k"], ["k2"], backend=backend)
 
 
 def test_non_numeric_application_attribute_rejected(spark):
