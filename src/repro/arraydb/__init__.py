@@ -2,6 +2,5 @@
 from repro.arraydb.arraystore import (  # noqa: F401
     array_add,
     array_select,
-    from_array,
     to_array,
 )

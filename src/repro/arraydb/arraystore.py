@@ -58,18 +58,3 @@ def array_select(a: DataFrame, predicate: str) -> DataFrame:
     """Filter cells by a SQL predicate over ``v`` (e.g. ``"v > 100"``)."""
     return a.filter(predicate)
 
-
-def from_array(a: DataFrame, col_names: Sequence[str]) -> DataFrame:
-    """Pivot a cell array back into a relation with columns ``col_names``.
-
-    The row dimension ``i`` is kept as attribute ``i`` — the array lost
-    the original order part, so the dense index is all the context left.
-    """
-    col_names = list(col_names)
-    pivoted = (
-        a.groupBy("i")
-        .pivot("j", values=list(range(len(col_names))))
-        .agg(F.first("v"))
-    )
-    renames = [F.col("i")] + [F.col(str(j)).alias(c) for j, c in enumerate(col_names)]
-    return pivoted.select(*renames)

@@ -12,7 +12,6 @@ this package: its body uses only numpy, pyarrow and its own locals.
   keys (the paper's §8.1 sort-avoidance optimisation);
 - :func:`gram` — ``AᵀB`` via per-partition partial Gram matrices
   (exact; addition is permutation-invariant so no sort is needed);
-- :func:`sol_normal` — ``sol`` from one partial Gram of ``[A | b]``;
 - :func:`mmu_rows` — matrix multiply with a broadcast right operand
   (the right operand of ``mmu`` has as many *rows* as the left has
   columns, so it is always small);
@@ -87,33 +86,21 @@ def zip_linear(r: DataFrame, by: Sequence[str], s: DataFrame, by2: Sequence[str]
 def _partial_gram(pairs: DataFrame, a_cols: list[str], b_cols: list[str]) -> np.ndarray:
     """``AᵀB`` for columns ``a_cols`` and ``b_cols`` of ``pairs``, from partial sums.
 
-    Each partition emits ``(i, j, v)`` partial products; Spark sums them
-    and the tiny ``k1×k2`` result is collected.
+    Each partition emits its ``k1×k2`` partial Gram as one row; the driver
+    collects and sums those rows.
     """
     k1, k2 = len(a_cols), len(b_cols)
 
     def partial(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         acc = np.zeros((k1, k2))
-        seen = False
         for b in batches:
             # Column-major n×k blocks: BLAS rounds differently on other layouts.
             a = np.array([b[c].to_numpy(zero_copy_only=False) for c in a_cols]).T
             acc += a.T @ np.array([b[c].to_numpy(zero_copy_only=False) for c in b_cols]).T
-            seen = True
-        if seen:
-            ii, jj = np.meshgrid(np.arange(k1), np.arange(k2), indexing="ij")
-            yield pa.RecordBatch.from_arrays([ii.ravel(), jj.ravel(), acc.ravel()], names=["i", "j", "v"])
+        yield pa.RecordBatch.from_arrays([pa.array([acc.ravel()], pa.list_(pa.float64()))], names=["g"])
 
-    agg = (
-        pairs.mapInArrow(partial, schema="i long, j long, v double")
-        .groupBy("i", "j")
-        .agg(F.sum("v").alias("v"))
-        .collect()
-    )
-    g = np.zeros((k1, k2))
-    for row in agg:
-        g[row["i"], row["j"]] = row["v"]
-    return g
+    rows = pairs.mapInArrow(partial, schema="g array<double>").collect()
+    return sum((np.array(row["g"]) for row in rows), np.zeros(k1 * k2)).reshape(k1, k2)
 
 
 def gram(r: DataFrame, app_r: Sequence[str], s: DataFrame | None = None,
@@ -128,20 +115,6 @@ def gram(r: DataFrame, app_r: Sequence[str], s: DataFrame | None = None,
         return _partial_gram(_renamed(r, [], app_r, "a"), a_cols, a_cols)
     pairs = _aligned(r, by, app_r, s, by2, app_s, "position")
     return _partial_gram(pairs, a_cols, _names("__ba", len(app_s)))
-
-
-def sol_normal(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
-               s: DataFrame, by2: Sequence[str], app_s: Sequence[str]) -> np.ndarray:
-    """``sol`` by the normal equations ``x = (AᵀA)⁻¹ Aᵀb``.
-
-    ``AᵀA`` and ``Aᵀb`` are the two blocks of one partial Gram
-    ``Aᵀ[A | b]`` over the positionally paired rows.
-    """
-    if len(app_s) != 1:
-        raise ValueError(f"SOL right-hand side must be a single column, got {len(app_s)}")
-    a_cols = _names("__aa", len(app_r))
-    g = _partial_gram(_aligned(r, by, app_r, s, by2, app_s, "position"), a_cols, [*a_cols, "__ba0"])
-    return np.linalg.solve(g[:, :-1], g[:, -1:])
 
 
 def rqr_matrix(r: DataFrame, app_r: Sequence[str]) -> np.ndarray:

@@ -34,7 +34,7 @@ Backends (``backend=`` keyword):
   schema is a key and its application part holds no null, read ``∇``
   there, run numpy/LAPACK, rebuild the relation.
 - ``"spark"`` — distributed kernels (:mod:`repro.core.distributed`) for
-  ``add``/``sub``/``emu``, ``cpd``, ``sol``, ``mmu``, ``qqr``, ``rqr``.
+  ``add``/``sub``/``emu``, ``cpd``, ``mmu``, ``qqr``, ``rqr``.
 - ``"bat"`` — the faithful columnwise kernels (:mod:`repro.batops`) for
   ``inv`` (Algorithm 2) and ``qqr``/``rqr`` (Gram-Schmidt).
 - ``"auto"`` — ``local`` for every operation, as long as each copy fits
@@ -103,7 +103,6 @@ _KERNELS = {
         "emu": _zip,
         "cpd": lambda c: (distributed.gram(c.r, c.app_r) if c.shared
                           else distributed.gram(c.r, c.app_r, c.s, c.by, c.by2, c.app_s)),
-        "sol": lambda c: distributed.sol_normal(c.r, c.by, c.app_r, c.s, c.by2, c.app_s),
         "mmu": lambda c: distributed.mmu_rows(c.r, c.by, c.app_r, c.n, c.app_s),
         "qqr": lambda c: distributed.qqr_rows(c.r, c.by, c.app_r),
         "rqr": lambda c: distributed.rqr_matrix(c.r, c.app_r),
@@ -118,7 +117,7 @@ _KERNELS = {
 
 #: Operations whose spark kernel is as accurate as LAPACK, so that ``auto``
 #: reruns them there when an input does not fit on the driver. CholeskyQR
-#: (``qqr``/``rqr``) and the normal equations (``sol``) square κ: those raise.
+#: (``qqr``/``rqr``) squares κ, and ``sol`` has no spark kernel: those raise.
 _FALLBACK = ("add", "sub", "emu", "cpd", "mmu")
 
 

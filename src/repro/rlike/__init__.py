@@ -1,2 +1,2 @@
-"""Single-threaded statistical-package competitor — the R stand-in."""
+"""Statistical-package competitor — the R stand-in."""
 from repro.rlike.rframe import MemoryBudgetExceeded, RFrame, RTimings  # noqa: F401

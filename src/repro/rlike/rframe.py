@@ -1,14 +1,12 @@
 """The "R" competitor: pandas data.frames + numpy matrices (§8.3, §8.5).
 
-R in the paper has three performance-relevant properties that this
+R in the paper has two performance-relevant properties that this
 substrate reproduces:
 
-1. relational operations run on a single core with no query optimizer
-   (pandas merges/groupbys are single-threaded);
-2. matrix operations require an explicit data.frame → matrix transform
+1. matrix operations require an explicit data.frame → matrix transform
    (and back), whose cost is timed separately so §8.5-style transform
    shares can be computed;
-3. everything must fit in process memory — a configurable *memory
+2. everything must fit in process memory — a configurable *memory
    budget* raises :class:`MemoryBudgetExceeded`, reproducing R's
    ``fail`` cells of Table 6 at scaled sizes. The budget check charges
    4× the matrix bytes (data.frame copy + matrix copy + decomposition
@@ -53,26 +51,6 @@ class RFrame:
     pdf: pd.DataFrame
     mem_budget_bytes: int | None = None
     timings: RTimings = field(default_factory=RTimings)
-
-    # -- relational operations (single-threaded pandas) ------------------
-
-    def merge(self, other: "RFrame", **kwargs) -> "RFrame":
-        t0 = time.perf_counter()
-        out = self.pdf.merge(other.pdf, **kwargs)
-        self.timings.compute_s += time.perf_counter() - t0
-        return RFrame(out, self.mem_budget_bytes, self.timings)
-
-    def select(self, cols: list[str]) -> "RFrame":
-        return RFrame(self.pdf[cols], self.mem_budget_bytes, self.timings)
-
-    def filter(self, mask: pd.Series) -> "RFrame":
-        return RFrame(self.pdf[mask], self.mem_budget_bytes, self.timings)
-
-    def aggregate(self, by: list[str], **aggs) -> "RFrame":
-        t0 = time.perf_counter()
-        out = self.pdf.groupby(by, as_index=False).agg(**aggs)
-        self.timings.compute_s += time.perf_counter() - t0
-        return RFrame(out, self.mem_budget_bytes, self.timings)
 
     # -- the data.frame <-> matrix boundary ------------------------------
 

@@ -1,9 +1,9 @@
 """Synthetic datasets for the RMA evaluation (Section 8 of the paper).
 
 Matrix-shaped relations (one key, k numeric application attributes,
-uniform values 0..10000 per §8 "Data"), sparse variants (Table 5), the
-Figure 5 ratings micro-database, and synthetic stand-ins for the BIXI and
-DBLP datasets used by the mixed workloads. Generators are deterministic
+uniform values 0..10000 per §8 "Data"), the Figure 5 ratings
+micro-database, and synthetic stand-ins for the BIXI and DBLP datasets
+used by the mixed workloads. Generators are deterministic
 in ``seed`` so the DuckDB oracle and the R analogue see identical input.
 """
 import numpy as np
@@ -16,46 +16,16 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def matrix_relation(
-    spark: SparkSession,
-    *,
-    n_rows: int,
-    n_app: int,
-    zero_frac: float = 0.0,
-    key: str = "id",
-    prefix: str = "a",
-    lo: float = 0.0,
-    hi: float = 10_000.0,
-    seed: int = 0,
+    spark: SparkSession, *, n_rows: int, n_app: int, key: str = "id", seed: int = 0
 ) -> DataFrame:
-    """Relation with key column ``key`` (1..n) and ``n_app`` uniform columns.
-
-    ``zero_frac`` zeroes out that fraction of values at random positions
-    (Table 5's sparse relations). Values are uniform in [lo, hi).
-    """
-    pdf = matrix_relation_pdf(
-        n_rows=n_rows, n_app=n_app, zero_frac=zero_frac, key=key,
-        prefix=prefix, lo=lo, hi=hi, seed=seed,
-    )
-    return spark.createDataFrame(pdf)
+    """Relation with key column ``key`` (1..n) and ``n_app`` columns ``a0``… uniform in [0, 10000)."""
+    return spark.createDataFrame(matrix_relation_pdf(n_rows=n_rows, n_app=n_app, key=key, seed=seed))
 
 
-def matrix_relation_pdf(
-    *,
-    n_rows: int,
-    n_app: int,
-    zero_frac: float = 0.0,
-    key: str = "id",
-    prefix: str = "a",
-    lo: float = 0.0,
-    hi: float = 10_000.0,
-    seed: int = 0,
-) -> pd.DataFrame:
+def matrix_relation_pdf(*, n_rows: int, n_app: int, key: str = "id", seed: int = 0) -> pd.DataFrame:
     """pandas twin of :func:`matrix_relation` (for the R-analogue and oracle)."""
-    g = _rng(seed)
-    m = g.random((n_rows, n_app)) * (hi - lo) + lo
-    if zero_frac > 0.0:
-        m[g.random((n_rows, n_app)) < zero_frac] = 0.0
-    pdf = pd.DataFrame(m, columns=[f"{prefix}{j}" for j in range(n_app)])
+    m = _rng(seed).random((n_rows, n_app)) * 10_000.0
+    pdf = pd.DataFrame(m, columns=[f"a{j}" for j in range(n_app)])
     pdf.insert(0, key, np.arange(1, n_rows + 1))
     return pdf
 
@@ -142,14 +112,3 @@ def publications(
     pdf.insert(0, "author", [f"author_{i:06d}" for i in range(n_authors)])
     return spark.createDataFrame(pdf)
 
-
-def ranking(spark: SparkSession, *, n_confs: int = 20, seed: int = 12) -> DataFrame:
-    """DBLP-like conference ranking (A++ … B)."""
-    g = _rng(seed)
-    pdf = pd.DataFrame(
-        {
-            "conf": [f"conf_{j}" for j in range(n_confs)],
-            "rating": g.choice(["A++", "A+", "A", "B"], n_confs),
-        }
-    )
-    return spark.createDataFrame(pdf)

@@ -1,6 +1,5 @@
 """R-analogue substrate: transforms, timings, and the memory budget."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro import synth_data
@@ -53,28 +52,6 @@ def test_memory_budget_exceeded_raises():
 def test_memory_budget_allows_small(frame):
     frame.mem_budget_bytes = 10 << 20
     assert frame.as_matrix(["a0"]).shape == (100, 1)
-
-
-def test_merge_is_pandas_semantics(frame):
-    other = RFrame(pd.DataFrame({"id": [1, 2, 3], "flag": ["x", "y", "z"]}))
-    out = frame.merge(other, on="id")
-    assert len(out.pdf) == 3
-    assert "flag" in out.pdf.columns
-
-
-def test_aggregate(frame):
-    frame.pdf["g"] = ["u", "v"] * 50
-    out = frame.aggregate(["g"], mean_a0=("a0", "mean"))
-    assert len(out.pdf) == 2
-    expect = frame.pdf.groupby("g")["a0"].mean()
-    got = out.pdf.set_index("g")["mean_a0"]
-    assert np.allclose(got.sort_index(), expect.sort_index())
-
-
-def test_filter_and_select(frame):
-    out = frame.filter(frame.pdf["a0"] > 5000).select(["id", "a0"])
-    assert list(out.pdf.columns) == ["id", "a0"]
-    assert (out.pdf["a0"] > 5000).all()
 
 
 def test_timings_shared_across_derived_frames(frame):

@@ -1,6 +1,5 @@
-"""Data generator tests: determinism, schemas, sparsity, paper micro-DB."""
+"""Data generator tests: determinism, schemas, paper micro-DB."""
 import numpy as np
-import pytest
 
 from repro import synth_data
 
@@ -23,16 +22,9 @@ def test_matrix_relation_deterministic(spark):
 
 
 def test_matrix_relation_value_range(spark):
-    pdf = synth_data.matrix_relation_pdf(n_rows=1000, n_app=2, lo=0, hi=10_000)
+    pdf = synth_data.matrix_relation_pdf(n_rows=1000, n_app=2)
     vals = pdf[["a0", "a1"]].to_numpy()
     assert vals.min() >= 0 and vals.max() < 10_000
-
-
-@pytest.mark.parametrize("frac", [0.0, 0.5, 1.0])
-def test_matrix_relation_zero_fraction(spark, frac):
-    pdf = synth_data.matrix_relation_pdf(n_rows=2000, n_app=5, zero_frac=frac, seed=1)
-    got = (pdf[[f"a{j}" for j in range(5)]].to_numpy() == 0).mean()
-    assert got == pytest.approx(frac, abs=0.05)
 
 
 def test_pdf_and_spark_twins_agree(spark):
@@ -65,6 +57,4 @@ def test_stations_coords_stable(spark):
 
 def test_publications_and_ranking_align(spark):
     pub = synth_data.publications(spark, n_authors=20, n_confs=4)
-    rank = synth_data.ranking(spark, n_confs=4)
     assert pub.columns == ["author"] + [f"conf_{j}" for j in range(4)]
-    assert sorted(r["conf"] for r in rank.collect()) == [f"conf_{j}" for j in range(4)]

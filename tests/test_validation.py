@@ -183,15 +183,6 @@ def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
     assert _jobs(spark, call) - _jobs(spark, kernel) == aggs
 
 
-def test_spark_sol_costs_no_more_jobs_than_cpd(spark, rel_pair):
-    """The spark ``sol`` reads ``AᵀA`` and ``Aᵀb`` from one Gram pass over the paired rows."""
-    r, _ = rel_pair
-    y, _ = make_rel(spark, 30, 1, seed=4, key="id2", prefix="y")
-    sol = _jobs(spark, lambda: ops.sol(r, y, "id", "id2", backend="spark"))
-    cpd = _jobs(spark, lambda: ops.cpd(r, y, "id", "id2", backend="spark"))
-    assert sol <= cpd
-
-
 _BACKENDS = ("local", "spark", "bat")
 _NULL_CALLS = [*[("qqr", b, "r") for b in _BACKENDS],
                *[("add", b, side) for b in ("local", "spark") for side in "rs"]]
