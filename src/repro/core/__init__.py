@@ -8,24 +8,3 @@ Public surface: the 19 relational matrix operations in :mod:`repro.core.ops`
 :mod:`repro.core.constructors`.
 """
 from repro.core import constructors, matrix_ops, ops, shapes  # noqa: F401
-from repro.core.ops import (  # noqa: F401
-    add,
-    chf,
-    cpd,
-    det,
-    dsv,
-    emu,
-    evc,
-    evl,
-    inv,
-    mmu,
-    opd,
-    qqr,
-    rnk,
-    rqr,
-    sol,
-    sub,
-    tra,
-    usv,
-    vsv,
-)

@@ -14,8 +14,12 @@
   engine column, for aligning relations without leaving Spark.
 
 The constructors are the bridge between unordered relations and ordered
-matrices; every relational matrix operation in :mod:`repro.core.ops` is
-defined through them exactly as in Table 2 of the paper. Data crosses
+matrices. :mod:`repro.core.ops` builds every relational matrix operation
+of Table 2 of the paper from :func:`split_sorted` (μ and μ̄ from one
+collect), :func:`column_cast`, :func:`schema_cast` and
+:func:`relation_constructor`; :func:`matrix_constructor` and
+:func:`matrix_constructor_complement` are the paper's μ and μ̄ as
+defined, on which the Figure 2–3 tests rest. Data crosses
 between Spark and the driver as Arrow tables, whose validity bitmaps keep
 a null apart from every value (NaN included), so an order part keeps the
 Spark type and value of every origin.

@@ -24,20 +24,17 @@ N_ROWS = 5_000_000
 N_APP = 10
 
 
-def _gen(zero_frac: float, n_rows: int, n_app: int, seed: int) -> np.ndarray:
+def _gen(zero_frac: float, n_rows: int, seed: int) -> np.ndarray:
     g = np.random.default_rng(seed)
-    m = g.random((n_rows, n_app)) * 5_000_000 + 1
+    m = g.random((n_rows, N_APP)) * 5_000_000 + 1
     if zero_frac > 0:
-        m[g.random((n_rows, n_app)) < zero_frac] = 0.0
+        m[g.random((n_rows, N_APP)) < zero_frac] = 0.0
     return m
 
 
-def sparse_vs_dense_add(
-    zero_frac: float, n_rows: int = N_ROWS, n_app: int = N_APP, seed: int = 0
-) -> dict:
+def sparse_vs_dense_add(zero_frac: float, n_rows: int = N_ROWS) -> dict:
     """Warm median seconds of dense and sparse columnwise ``add`` at one zero fraction."""
-    a = _gen(zero_frac, n_rows, n_app, seed)
-    b = _gen(zero_frac, n_rows, n_app, seed + 1)
+    a, b = _gen(zero_frac, n_rows, 0), _gen(zero_frac, n_rows, 1)
     bats_a, bats_b = kernels.as_bats(a), kernels.as_bats(b)
     dense_sec = warm_median(lambda: kernels.col_add(bats_a, bats_b))
     sp_a = [sparse.from_dense(c) for c in bats_a]

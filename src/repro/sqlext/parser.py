@@ -23,6 +23,7 @@ from repro.core.ops import BINARY_OPS, UNARY_OPS
 
 _OP_NAMES = sorted(set(UNARY_OPS) | set(BINARY_OPS))
 _CALL_START = re.compile(r"\b(" + "|".join(n.upper() for n in _OP_NAMES) + r")\s*\(", re.IGNORECASE)
+_BY = re.compile(r"\bBY\b", re.IGNORECASE)
 _IDENT = re.compile(r"^[A-Za-z_][A-Za-z_0-9.]*$")
 _view_counter = itertools.count()
 
@@ -51,7 +52,7 @@ def _find_innermost_call(sql: str) -> tuple[int, int, str, str] | None:
         args = sql[m.end() : i - 1]
         if _CALL_START.search(args):
             continue  # not innermost; a later match will be
-        if " BY " not in args.upper():
+        if not _BY.search(args):
             continue  # e.g. a scalar function that shares a name
         return m.start(), i, m.group(1).lower(), args
     return None
@@ -82,7 +83,7 @@ def _parse_args(args: str, op: str) -> list[tuple[str, list[str]]]:
     """
     groups: list[tuple[str, list[str]]] = []
     for seg in _split_top_level(args):
-        m = re.search(r"\bBY\b", seg, re.IGNORECASE)
+        m = _BY.search(seg)
         if m:
             rel = seg[: m.start()].strip()
             col = seg[m.end() :].strip()

@@ -57,18 +57,21 @@ def ratings_db(spark: SparkSession) -> dict[str, DataFrame]:
     }
 
 
-def trips(spark: SparkSession, *, n: int = 10_000, n_stations: int = 50, seed: int = 7) -> DataFrame:
+_N_STATIONS = 50  # trips() draws its station codes from stations()
+_COORDS = (_rng(42).random((_N_STATIONS, 2)) * 100).round(4)  # the same for every call
+
+
+def trips(spark: SparkSession, *, n: int = 10_000, seed: int = 7) -> DataFrame:
     """BIXI-like trips: stations, duration correlated with distance (§8.6).
 
     Duration is ``20·distance + noise`` so the OLS workload has a signal
     to recover; station coordinates live in :func:`stations`.
     """
     g = _rng(seed)
-    start = g.integers(1, n_stations + 1, n)
-    end = g.integers(1, n_stations + 1, n)
-    coords = _station_coords(n_stations)
+    start = g.integers(1, _N_STATIONS + 1, n)
+    end = g.integers(1, _N_STATIONS + 1, n)
     dist = np.hypot(
-        coords[start - 1, 0] - coords[end - 1, 0], coords[start - 1, 1] - coords[end - 1, 1]
+        _COORDS[start - 1, 0] - _COORDS[end - 1, 0], _COORDS[start - 1, 1] - _COORDS[end - 1, 1]
     )
     duration = 20.0 * dist + g.normal(0, 5, n) + 120.0
     pdf = pd.DataFrame(
@@ -83,20 +86,14 @@ def trips(spark: SparkSession, *, n: int = 10_000, n_stations: int = 50, seed: i
     return spark.createDataFrame(pdf)
 
 
-def _station_coords(n_stations: int) -> np.ndarray:
-    g = _rng(42)  # coords fixed across trips() calls
-    return (g.random((n_stations, 2)) * 100).round(4)
-
-
-def stations(spark: SparkSession, *, n_stations: int = 50) -> DataFrame:
+def stations(spark: SparkSession) -> DataFrame:
     """BIXI-like stations with coordinates."""
-    coords = _station_coords(n_stations)
     pdf = pd.DataFrame(
         {
-            "code": np.arange(1, n_stations + 1),
-            "name": [f"station_{i}" for i in range(1, n_stations + 1)],
-            "lat": coords[:, 0],
-            "lon": coords[:, 1],
+            "code": np.arange(1, _N_STATIONS + 1),
+            "name": [f"station_{i}" for i in range(1, _N_STATIONS + 1)],
+            "lat": _COORDS[:, 0],
+            "lon": _COORDS[:, 1],
         }
     )
     return spark.createDataFrame(pdf)

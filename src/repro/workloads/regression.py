@@ -24,15 +24,7 @@ from pyspark.sql import functions as F
 from repro.core import ops
 
 
-def ols(
-    r: DataFrame,
-    by: str | Sequence[str],
-    x_cols: Sequence[str],
-    y_col: str,
-    *,
-    intercept: bool = True,
-    backend: str = "auto",
-) -> DataFrame:
+def ols(r: DataFrame, by: str | Sequence[str], x_cols: Sequence[str], y_col: str) -> DataFrame:
     """Fit ``y ~ X`` by OLS; returns a relation (regressor, coef).
 
     ``by`` is the order schema (key) of ``r``; ``x_cols`` the independent
@@ -42,22 +34,18 @@ def ols(
     """
     by = [by] if isinstance(by, str) else list(by)
     xs = list(x_cols)
-    width = len(str(len(xs)))  # the intercept, if any, is index len(xs)
-    canon = {c: f"x{i:0{width}d}" for i, c in enumerate(xs)}
-    sel_a = [F.col(c) for c in by] + [F.col(c).cast("double").alias(a) for c, a in canon.items()]
-    if intercept:
-        canon_all = {**canon, "intercept": f"x{len(xs):0{width}d}"}
-        sel_a.append(F.lit(1.0).alias(canon_all["intercept"]))
-    else:
-        canon_all = canon
-    a_rel = r.select(*sel_a)
+    width = len(str(len(xs)))  # the intercept is index len(xs)
+    canon = {c: f"x{i:0{width}d}" for i, c in enumerate([*xs, "intercept"])}
+    a_rel = r.select(
+        *by, *[F.col(c).cast("double").alias(canon[c]) for c in xs], F.lit(1.0).alias(canon["intercept"])
+    )
     v_rel = r.select(*by, F.col(y_col).cast("double").alias(y_col))
 
-    gram = ops.cpd(a_rel, a_rel, by, by, backend=backend)
+    gram = ops.cpd(a_rel, a_rel, by, by)
     gram_inv = ops.inv(gram, ["C"])
-    xty = ops.cpd(a_rel, v_rel, by, by, backend=backend)
+    xty = ops.cpd(a_rel, v_rel, by, by)
     beta = ops.mmu(gram_inv, xty, ["C"], ["C"])
 
-    back = {v: k for k, v in canon_all.items()}
+    back = {v: k for k, v in canon.items()}
     mapping = F.create_map(*[x for kv in back.items() for x in (F.lit(kv[0]), F.lit(kv[1]))])
     return beta.select(mapping[F.col("C")].alias("C"), F.col(y_col))

@@ -247,6 +247,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 from repro.core import ops
+from repro.workloads import covariance, covariance_via_cpd, ols
 
 spark = SparkSession.builder.getOrCreate()
 g = np.random.default_rng(0)
@@ -280,6 +281,13 @@ gram = ops.cpd(r, r, ["id"], ["id"]).toPandas().set_index("C").loc[app, app].to_
 assert np.allclose(gram, a.T @ a, rtol=1e-12), gram
 raises(lambda: ops.qqr(r, ["id"]), "qqr: ")
 raises(lambda: ops.add(r, s, ["id"], ["id2"], backend="local"), "add: ")
+
+beta = ols(r, "id", app[:3], "a3").toPandas().set_index("C")["a3"]
+want_beta, *_ = np.linalg.lstsq(np.column_stack([a[:, :3], np.ones(n)]), a[:, 3], rcond=None)
+assert np.allclose(beta.loc[[*app[:3], "intercept"]], want_beta, rtol=0, atol=1e-9), beta
+cov = covariance_via_cpd(r, "id").toPandas().set_index("C").loc[app, app].to_numpy()
+assert np.allclose(cov, np.cov(a, rowvar=False), rtol=1e-12), cov
+raises(lambda: covariance(r, "id"), "tra: ")  # w4 has one column per tuple
 spark.stop()
 """
 
@@ -287,7 +295,8 @@ spark.stop()
 def test_auto_falls_back_to_the_engine_over_the_driver_limit(tmp_path):
     """An ``auto`` input over ``spark.driver.maxResultSize`` runs ``add`` and ``cpd(r, r)`` in the
     engine; ``qqr``, which has no kernel there as accurate as LAPACK, and an explicit ``local``
-    call raise a ``ValueError`` naming the operation and the limit.
+    call raise a ``ValueError`` naming the operation and the limit. So do the workloads: ``ols``
+    and ``covariance_via_cpd`` run, and the literal Fig. 6 ``covariance`` raises at its ``tra``.
 
     The limit is fixed when the driver starts, so the calls run in a driver of their own. Broadcast
     joins are off, as in the test session: the check joins the result with the expected values,

@@ -25,6 +25,12 @@ def test_paper_unary_syntax(spark, views):
     assert out.count() == 4
 
 
+def test_by_may_follow_a_line_break(spark, views):
+    got = rma_sql(spark, "SELECT * FROM QQR(r\nBY T)").orderBy("T").toPandas()
+    want = rma_sql(spark, "SELECT * FROM QQR(r BY T)").orderBy("T").toPandas()
+    pd.testing.assert_frame_equal(got, want)
+
+
 def test_paper_inv_syntax(spark, views):
     out = rma_sql(spark, "SELECT * FROM INV(TRA(s BY k) BY C)")
     assert out.count() == 2

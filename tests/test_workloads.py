@@ -127,7 +127,8 @@ def test_ols_100_regressors_match_lstsq(spark):
     assert np.allclose([got[f"d{j}"] for j in range(k)] + [got["intercept"]], expect, rtol=0, atol=1e-8)
 
 
-def test_ols_without_intercept(spark):
+def test_ols_through_the_origin(spark):
+    """On data with no constant term, the fitted intercept is zero."""
     import pandas as pd
 
     g = np.random.default_rng(2)
@@ -135,11 +136,10 @@ def test_ols_without_intercept(spark):
     x = g.random(n) * 10
     y = 5.0 * x
     r = spark.createDataFrame(pd.DataFrame({"i": np.arange(n), "x": x, "y": y}))
-    beta = ols(r, "i", ["x"], "y", intercept=False)
-    rows = beta.collect()
-    assert len(rows) == 1
-    assert rows[0]["C"] == "x"
-    assert rows[0]["y"] == pytest.approx(5.0, abs=1e-8)
+    got = {row["C"]: row["y"] for row in ols(r, "i", ["x"], "y").collect()}
+    assert got.keys() == {"x", "intercept"}
+    assert got["x"] == pytest.approx(5.0, abs=1e-8)
+    assert got["intercept"] == pytest.approx(0.0, abs=1e-8)
 
 
 def test_trip_count_workload(spark):
