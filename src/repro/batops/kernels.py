@@ -49,16 +49,14 @@ def id_matrix(n: int) -> Bats:
 def gauss_jordan_inv(b: Sequence[np.ndarray]) -> Bats:
     """Matrix inversion by Gauss-Jordan elimination over BATs (Algorithm 2).
 
-    Takes a list of n BATs of length n (the columns of a square matrix)
-    and returns the inverse as a list of BATs. All updates are
-    whole-column operations (``B_i / v``, ``B_j - B_i * v``); pivots are
-    read with ``sel``. No pivoting beyond the diagonal is performed, as
-    in the paper; a zero pivot raises.
+    Takes a list of n BATs of length n (the columns of a square matrix,
+    as the caller checks) and returns the inverse as a list of BATs. All
+    updates are whole-column operations (``B_i / v``, ``B_j - B_i * v``);
+    pivots are read with ``sel``. No pivoting beyond the diagonal is
+    performed, as in the paper; a zero pivot raises.
     """
     b = [np.asarray(c, dtype=np.float64).copy() for c in b]
     n = len(b)
-    if n == 0 or any(len(c) != n for c in b):
-        raise ValueError("Gauss-Jordan inversion requires a square, non-empty matrix")
     br = id_matrix(n)
     for i in range(n):
         v1 = _sel(b[i], i)

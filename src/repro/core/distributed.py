@@ -5,7 +5,8 @@ operations instead of copying to MKL. The Spark analogues here run in
 the engine (Catalyst expressions, ``mapInArrow``); only small matrices
 reach the driver: Gram results, and the right operand of ``mmu``. A
 ``mapInArrow`` function runs on the Python workers, which may not import
-this package: its body uses only numpy, pyarrow and its own locals.
+this package: its body uses only numpy, pyarrow and its own locals. The
+kernels assume operands whose shapes ``ops`` has checked.
 
 - :func:`zip_linear` — ``add``/``sub``/``emu`` by pairing the i-th
   sorted row of each input (positional) or by joining on equal order
@@ -122,10 +123,7 @@ def rqr_matrix(r: DataFrame, app_r: Sequence[str]) -> np.ndarray:
     try:
         return np.linalg.cholesky(gram(r, app_r)).T
     except np.linalg.LinAlgError as e:
-        raise ValueError(
-            "distributed qqr/rqr (CholeskyQR) requires a full-rank "
-            f"application part: {e}"
-        ) from None
+        raise ValueError(f"CholeskyQR requires a full-rank application part: {e}") from None
 
 
 def qqr_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str]) -> DataFrame:
@@ -146,11 +144,6 @@ def mmu_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
     relation — small by construction, since ``j1`` equals the number of
     application attributes of ``r``.
     """
-    if len(app_r) != right.shape[0]:
-        raise ValueError(
-            f"MMU inner dimensions differ: {len(app_r)} application "
-            f"attributes vs {right.shape[0]} rows"
-        )
     b_right = r.sparkSession.sparkContext.broadcast(right)
     in_fields = {f.name: f for f in r.schema.fields}
     out_schema = T.StructType(

@@ -12,9 +12,12 @@ float64 arrays and are deterministic:
   doubles;
 - the SVD family follows the paper's shape types (Table 1): ``usv`` is
   the full n×n left-vector matrix, ``dsv`` the k×k diagonal matrix of
-  singular values, ``vsv`` the n×1 vector of singular values of
-  ``m·mᵀ`` (zero-padded) — see DESIGN.md for the Table-1-vs-prose
+  singular values, ``vsv`` the n×1 vector of the singular values of
+  ``m``, zero-padded to n rows — see DESIGN.md for the Table-1-vs-prose
   discrepancy this resolves.
+
+The operations assume operands whose shapes the relational layer has
+checked (``shapes.OPERAND_CONSTRAINTS``) and raise only on values.
 """
 from __future__ import annotations
 
@@ -23,95 +26,57 @@ import numpy as np
 _COMPLEX_TOL = 1e-9
 
 
-def _as2d(m: np.ndarray) -> np.ndarray:
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
-    return a
-
-
-def _require_square(m: np.ndarray, op: str) -> np.ndarray:
-    a = _as2d(m)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{op.upper()} requires a square matrix, got {a.shape}")
-    return a
-
-
 # --- element-wise and multiplicative operations -------------------------
 
 def emu(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """EMU: element-wise multiplication."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape != b.shape:
-        raise ValueError(f"EMU requires equal shapes, got {a.shape} and {b.shape}")
-    return a * b
+    return m * n
 
 
 def add(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """ADD: matrix addition."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape != b.shape:
-        raise ValueError(f"ADD requires equal shapes, got {a.shape} and {b.shape}")
-    return a + b
+    return m + n
 
 
 def sub(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """SUB: matrix subtraction."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape != b.shape:
-        raise ValueError(f"SUB requires equal shapes, got {a.shape} and {b.shape}")
-    return a - b
+    return m - n
 
 
 def mmu(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """MMU: matrix multiplication, ``i1×j1 · j1×j2 → i1×j2``."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"MMU inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
+    return m @ n
 
 
 def opd(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """OPD: outer product ``m·nᵀ``, ``i1×j1, i2×j1 → i1×i2``."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"OPD requires equal column counts, got {a.shape} and {b.shape}")
-    return a @ b.T
+    return m @ n.T
 
 
 def cpd(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """CPD: cross product ``mᵀ·n``, ``i1×j1, i1×j2 → j1×j2``."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"CPD requires equal row counts, got {a.shape} and {b.shape}")
-    return a.T @ b
+    return m.T @ n
 
 
 def tra(m: np.ndarray) -> np.ndarray:
     """TRA: transpose."""
-    return _as2d(m).T.copy()
+    return m.T.copy()
 
 
 def sol(m: np.ndarray, n: np.ndarray) -> np.ndarray:
     """SOL: solve ``m·x = n`` (least squares for non-square ``m``), ``→ j1×1``."""
-    a, b = _as2d(m), _as2d(n)
-    if a.shape[0] != b.shape[0]:
-        raise ValueError(f"SOL requires equal row counts, got {a.shape} and {b.shape}")
-    if b.shape[1] != 1:
-        raise ValueError(f"SOL right-hand side must be a single column, got {b.shape}")
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x
+    return np.linalg.lstsq(m, n, rcond=None)[0]
 
 
 # --- decompositions and scalars ----------------------------------------
 
 def inv(m: np.ndarray) -> np.ndarray:
     """INV: matrix inversion (square input)."""
-    return np.linalg.inv(_require_square(m, "inv"))
+    return np.linalg.inv(m)
 
 
 def _qr_canonical(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = np.linalg.qr(_as2d(m), mode="reduced")
+    q, r = np.linalg.qr(m, mode="reduced")
     # Flip signs so diag(R) >= 0: unique QR for full-rank input, shared
     # by the LAPACK, Gram-Schmidt, and distributed CholeskyQR backends.
     signs = np.sign(np.diag(r))
@@ -129,34 +94,28 @@ def rqr(m: np.ndarray) -> np.ndarray:
     return _qr_canonical(m)[1]
 
 
-def _svd(m: np.ndarray):
-    return np.linalg.svd(_as2d(m), full_matrices=True)
-
-
 def usv(m: np.ndarray) -> np.ndarray:
     """USV: full matrix of left singular vectors, ``i1×j1 → i1×i1``.
 
     Columns are sign-canonicalised (largest-magnitude entry positive).
     """
-    u, _, _ = _svd(m)
+    u, _, _ = np.linalg.svd(m)
     return _sign_canonical_columns(u)
 
 
 def dsv(m: np.ndarray) -> np.ndarray:
     """DSV: diagonal matrix of singular values, ``i1×j1 → j1×j1``."""
-    a = _as2d(m)
-    _, s, _ = _svd(a)
-    k = a.shape[1]
+    _, s, _ = np.linalg.svd(m)
+    k = m.shape[1]
     d = np.zeros((k, k))
     np.fill_diagonal(d, np.pad(s, (0, max(0, k - len(s))))[:k])
     return d
 
 
 def vsv(m: np.ndarray) -> np.ndarray:
-    """VSV: n×1 vector of singular values of ``m·mᵀ`` (zero-padded), per Table 1."""
-    a = _as2d(m)
-    _, s, _ = _svd(a)
-    out = np.zeros((a.shape[0], 1))
+    """VSV: the singular values of ``m`` as an n×1 column, zero-padded to n rows (Table 1)."""
+    _, s, _ = np.linalg.svd(m)
+    out = np.zeros((m.shape[0], 1))
     out[: len(s), 0] = s
     return out
 
@@ -171,49 +130,44 @@ def _sign_canonical_columns(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _eig_sorted(m: np.ndarray, op: str) -> tuple[np.ndarray, np.ndarray]:
-    a = _require_square(m, op)
-    w, v = np.linalg.eig(a)
+def _eig_sorted(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    w, v = np.linalg.eig(m)
     if np.max(np.abs(w.imag), initial=0.0) > _COMPLEX_TOL * max(1.0, np.max(np.abs(w.real), initial=0.0)):
-        raise ValueError(
-            f"{op.upper()}: matrix has complex eigenvalues; relations store "
-            "doubles (use a symmetric matrix)"
-        )
+        raise ValueError("the matrix has complex eigenvalues; relations store doubles (use a symmetric matrix)")
     order = np.argsort(-np.abs(w.real), kind="stable")
     return w.real[order], v.real[:, order]
 
 
 def evl(m: np.ndarray) -> np.ndarray:
     """EVL: eigenvalues as an n×1 column, sorted by descending ``|λ|``."""
-    w, _ = _eig_sorted(m, "evl")
+    w, _ = _eig_sorted(m)
     return w.reshape(-1, 1)
 
 
 def evc(m: np.ndarray) -> np.ndarray:
     """EVC: eigenvectors (columns), order matching :func:`evl`, sign-canonical."""
-    _, v = _eig_sorted(m, "evc")
+    _, v = _eig_sorted(m)
     return _sign_canonical_columns(v)
 
 
 def det(m: np.ndarray) -> np.ndarray:
     """DET: determinant as a 1×1 matrix."""
-    return np.array([[np.linalg.det(_require_square(m, "det"))]])
+    return np.array([[np.linalg.det(m)]])
 
 
 def rnk(m: np.ndarray) -> np.ndarray:
     """RNK: numerical rank as a 1×1 matrix."""
-    return np.array([[float(np.linalg.matrix_rank(_as2d(m)))]])
+    return np.array([[float(np.linalg.matrix_rank(m))]])
 
 
 def chf(m: np.ndarray) -> np.ndarray:
     """CHF: Cholesky factor, upper-triangular ``R`` with ``Rᵀ·R = m`` (R's ``chol``)."""
-    a = _require_square(m, "chf")
-    if not np.allclose(a, a.T, atol=1e-8):
-        raise ValueError("CHF requires a symmetric matrix")
+    if not np.allclose(m, m.T, atol=1e-8):
+        raise ValueError("the matrix must be symmetric")
     try:
-        return np.linalg.cholesky(a).T.copy()
+        return np.linalg.cholesky(m).T.copy()
     except np.linalg.LinAlgError as e:
-        raise ValueError(f"CHF requires a positive definite matrix: {e}") from None
+        raise ValueError(f"the matrix must be positive definite: {e}") from None
 
 
 #: Dispatch table from operation name to base implementation.

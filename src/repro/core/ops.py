@@ -26,6 +26,9 @@ shape type     operations  result schema
 
 The result schema is derived from the shape type alone (:func:`_apply`):
 the rows axis picks the row origins, the cols axis the column names.
+The operand shapes are checked once per call, on every backend, against
+``shapes.OPERAND_CONSTRAINTS``; the kernels assume checked operands. Every
+``ValueError`` of a call starts with ``<op>: ``.
 
 Backends (``backend=`` keyword):
 
@@ -64,7 +67,7 @@ from repro.core.constructors import (
     schema_cast,
     split_sorted,
 )
-from repro.core.shapes import Dim, shape_type
+from repro.core.shapes import OPERAND_CONSTRAINTS, Dim, shape_type
 
 C_ATTR = "C"
 _ALIGNS = ("position", "keys")
@@ -131,7 +134,10 @@ def _backend(op: str, backend: str) -> str:
 
 def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
     """Check the application schema Ū of ``r`` is non-empty and numeric; return it."""
-    app = application_schema(r, by)
+    try:
+        app = application_schema(r, by)
+    except ValueError as e:
+        raise ValueError(f"{op}: {e}") from None
     if not app:
         raise ValueError(f"{op}: application schema is empty (every attribute is in the order schema)")
     fields = {f.name: f.dataType for f in r.schema.fields}
@@ -225,11 +231,6 @@ def _apply(
             f"{op}: the order schema {cast} must have exactly one attribute "
             "(its column cast ∇ names the result columns)"
         )
-    if st.cols is Dim.CS and len(app_r) != len(app_s):
-        raise ValueError(
-            f"{op}: application schemas must be union compatible, "
-            f"got {len(app_r)} vs {len(app_s)} attributes"
-        )
 
     # μ copies what the kernel reads on the driver; under auto, a copy that
     # Spark aborts sends the call to the engine. An input that stays in the
@@ -249,14 +250,10 @@ def _apply(
         n_s = n_r
     else:
         n_s = _tuples(s, by2, app_s, op) if order_s is None else order_s.num_rows
-    if st.binary and st.rows in (Dim.RS, Dim.C1) and n_r != n_s:  # the inputs share rows
-        raise ValueError(f"{op}: inputs must have the same number of tuples, got {n_r} and {n_s}")
-    # Table 1 gives qqr (r1,c1) and rqr (c1,c1) the shapes of a reduced QR of a tall matrix.
-    if op in ("qqr", "rqr") and n_r < len(app_r):
-        raise ValueError(f"{op}: a reduced QR needs at least as many tuples as application "
-                         f"attributes, got {n_r} tuples for {len(app_r)} attributes")
-    if op == "rnk" and n_r == 0:
-        raise ValueError("rnk: the relation has no tuples")
+    dims = {"r1": n_r, "c1": len(app_r), "r2": n_s, "c2": len(app_s)}
+    for names, holds, message in OPERAND_CONSTRAINTS:
+        if op in names and not holds(**dims):
+            raise ValueError(f"{op}: " + message.format(**dims))
     # LAPACK pairs the i-th sorted rows, the spark kernel joins on the keys:
     # the same pairing exactly when both hold the same key values. The
     # sorted order parts tell that before any matrix work; the spark kernel
@@ -277,10 +274,14 @@ def _apply(
         )
 
     if backend == "spark":
-        base = _KERNELS["spark"][op](_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared))
+        kernel, args = _KERNELS["spark"][op], (_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared),)
     else:
         kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
-        base = kernel(m, n) if st.binary else kernel(m)
+        args = (m, n) if st.binary else (m,)
+    try:  # a kernel raises only on values: a zero pivot, a rank deficiency, ...
+        base = kernel(*args)
+    except ValueError as e:
+        raise ValueError(f"{op}: {e}") from e
     if align == "keys" and backend == "spark" and base.count() != n_r:
         raise ValueError(f"{op}: {_KEY_SETS}")
     if isinstance(base, DataFrame):

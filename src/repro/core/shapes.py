@@ -4,7 +4,9 @@ Matrix operations are *shape restricted*: the number of result rows
 (columns) equals the number of rows of one input (``r1``/``r2``/``r*``),
 the number of columns of one input (``c1``/``c2``/``c*``), or one
 (``one``). The shape type drives how contextual information (origins) is
-inherited in relational matrix operations (Tables 2 and 3).
+inherited in relational matrix operations (Tables 2 and 3). The operand
+constraints of §3.2 (e.g. MMU multiplies ``i1×j1 · j1×j2``) are the one
+shape check of every call; kernels assume operands that pass it.
 """
 from __future__ import annotations
 
@@ -58,6 +60,28 @@ SHAPE_TYPES: dict[str, ShapeType] = {
     "det": ShapeType(Dim.ONE, Dim.ONE, binary=False),
     "rnk": ShapeType(Dim.ONE, Dim.ONE, binary=False),
 }
+
+
+# The operand constraints of §3.2, over the tuple counts r1, r2 and the
+# application-attribute counts c1, c2 of the inputs: the operations that
+# carry each, when it holds, and what a violation says.
+OPERAND_CONSTRAINTS = (
+    (("add", "sub", "emu", "cpd", "sol"), lambda r1, r2, **_: r1 == r2,
+     "inputs must have the same number of tuples, got {r1} and {r2}"),
+    (("add", "sub", "emu", "opd"), lambda c1, c2, **_: c1 == c2,
+     "application schemas must be union compatible, got {c1} vs {c2} attributes"),
+    (("mmu",), lambda c1, r2, **_: c1 == r2,
+     "inner dimensions differ: application attributes of the first input vs tuples of the second, "
+     "got {c1} and {r2}"),
+    (("sol",), lambda c2, **_: c2 == 1,
+     "the right-hand side must be a single column, got {c2} application attributes"),
+    (("inv", "evc", "evl", "det", "chf"), lambda r1, c1, **_: r1 == c1,
+     "the matrix must be square, got {r1} tuples and {c1} application attributes"),
+    (("qqr", "rqr"), lambda r1, c1, **_: r1 >= c1,
+     "a reduced QR needs at least as many tuples as application attributes, "
+     "got {r1} tuples for {c1} attributes"),
+    (("rnk",), lambda r1, **_: r1 >= 1, "the relation has no tuples"),
+)
 
 
 def shape_type(op: str) -> ShapeType:

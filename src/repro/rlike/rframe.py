@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
+from repro.core import matrix_ops
+
 
 class MemoryBudgetExceeded(MemoryError):
     """Raised when a transform would exceed the configured memory budget."""
@@ -84,14 +86,10 @@ class RFrame:
 
 
 def r_qqr(frame: RFrame, app_cols: list[str]) -> RFrame:
-    """R's ``qr.Q(qr(as.matrix(df)))`` pipeline: transform → QR → transform."""
-    m = frame.as_matrix(app_cols)
+    """R's ``qr.Q(qr(as.matrix(df)))`` pipeline: transform → QR → transform.
 
-    def _qr(a: np.ndarray) -> np.ndarray:
-        q, r = np.linalg.qr(a, mode="reduced")
-        signs = np.sign(np.diag(r))
-        signs[signs == 0] = 1.0
-        return q * signs
-
-    q = frame.matrix_op(_qr, m)
+    The compute step is the LAPACK QR that RMA+ calls (``matrix_ops.qqr``),
+    so the two systems differ only in how the matrix reaches it.
+    """
+    q = frame.matrix_op(matrix_ops.qqr, frame.as_matrix(app_cols))
     return frame.from_matrix(q, app_cols)

@@ -29,21 +29,10 @@ class TestElementwise:
         assert np.allclose(M.emu(a, b), a * b)
 
 
-@pytest.mark.parametrize("op", [M.add, M.sub, M.emu])
-def test_elementwise_shape_mismatch_raises(op):
-    with pytest.raises(ValueError, match="equal shapes"):
-        op(rand(3, 2), rand(2, 3))
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_mmu_matches_numpy(seed):
     a, b = rand(4, 3, seed), rand(3, 5, seed + 1)
     assert np.allclose(M.mmu(a, b), a @ b)
-
-
-def test_mmu_inner_dim_mismatch_raises():
-    with pytest.raises(ValueError, match="inner dimensions"):
-        M.mmu(rand(4, 3), rand(4, 5))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -73,11 +62,6 @@ def test_inv_times_m_is_identity(n, seed):
     assert np.allclose(M.inv(a) @ a, np.eye(n), atol=1e-8)
 
 
-def test_inv_requires_square():
-    with pytest.raises(ValueError, match="square"):
-        M.inv(rand(3, 2))
-
-
 @pytest.mark.parametrize("seed", range(3))
 def test_sol_exact_square(seed):
     a = rand(3, 3, seed) + 3 * np.eye(3)
@@ -91,11 +75,6 @@ def test_sol_least_squares_overdetermined():
     x = M.sol(a, b)
     expect, *_ = np.linalg.lstsq(a, b, rcond=None)
     assert np.allclose(x, expect)
-
-
-def test_sol_rhs_must_be_single_column():
-    with pytest.raises(ValueError, match="single column"):
-        M.sol(rand(4, 2), rand(4, 2))
 
 
 @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (6, 3, 1), (5, 5, 2), (10, 4, 3)])
@@ -191,11 +170,6 @@ def test_chf_rejects_non_symmetric():
 def test_chf_rejects_non_positive_definite():
     with pytest.raises(ValueError, match="positive definite"):
         M.chf(np.array([[1.0, 2.0], [2.0, 1.0]]))
-
-
-def test_non_2d_input_raises():
-    with pytest.raises(ValueError, match="2-D"):
-        M.tra(np.ones(3))
 
 
 def test_dispatch_tables_cover_all_ops():

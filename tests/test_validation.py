@@ -95,8 +95,14 @@ def test_opd_second_order_schema_must_be_unit(spark):
 
 def test_unknown_order_attribute(spark):
     r = spark.createDataFrame(pd.DataFrame({"k": ["a"], "v": [1.0]}))
-    with pytest.raises(ValueError, match="not in schema"):
+    with pytest.raises(ValueError, match=r"^qqr: order schema attributes \['missing'\] not in schema"):
         ops.qqr(r, ["missing"])
+
+
+def test_duplicate_order_attribute(spark):
+    r = spark.createDataFrame(pd.DataFrame({"k": ["a"], "v": [1.0]}))
+    with pytest.raises(ValueError, match="^qqr: order schema has duplicate attributes"):
+        ops.qqr(r, ["k", "k"])
 
 
 @pytest.mark.parametrize("case", [c for c in KEY_CASES if c != "empty"])
@@ -225,3 +231,54 @@ def test_degenerate_shapes_name_the_op(spark, op, backend, rows):
     else:
         with pytest.raises(ValueError, match=f"^{op}: "):
             call()
+
+
+# One violated operand constraint per case: the op, words of the message, the
+# backends with a kernel for the op, and (tuples, attributes) of each input.
+_VIOLATIONS = [
+    ("add", "same number of tuples", ("local", "spark"), (3, 2), (4, 2)),
+    ("cpd", "same number of tuples", ("local", "spark"), (3, 2), (4, 1)),
+    ("sol", "same number of tuples", ("local",), (3, 2), (4, 1)),
+    ("add", "union compatible", ("local", "spark"), (3, 2), (3, 3)),
+    ("opd", "union compatible", ("local",), (3, 2), (4, 3)),
+    ("mmu", "inner dimensions", ("local", "spark"), (4, 2), (3, 2)),
+    ("sol", "single column", ("local",), (3, 2), (3, 2)),
+    ("inv", "square", ("local", "bat"), (4, 2), None),
+    *[(op, "square", ("local",), (4, 2), None) for op in ("evc", "evl", "det", "chf")],
+]
+
+
+@pytest.mark.parametrize("op,words,backends,shape_r,shape_s", _VIOLATIONS,
+                         ids=[f"{v[0]}-{v[1].replace(' ', '_')}" for v in _VIOLATIONS])
+def test_operand_constraint_names_the_op(spark, op, words, backends, shape_r, shape_s):
+    """Each operand constraint is checked once, before any kernel: one message on every backend."""
+    r, _ = make_rel(spark, *shape_r, seed=1)
+    if shape_s is None:
+        call = lambda backend: ops.UNARY_OPS[op](r, ["id"], backend=backend)  # noqa: E731
+    else:
+        s, _ = make_rel(spark, *shape_s, seed=2, key="id2", prefix="b")
+        call = lambda backend: ops.BINARY_OPS[op](r, s, ["id"], ["id2"], backend=backend)  # noqa: E731
+    messages = set()
+    for backend in backends:
+        with pytest.raises(ValueError, match=f"^{op}: .*{words}") as e:
+            call(backend)
+        messages.add(str(e.value))
+    assert len(messages) == 1
+
+
+# A value a kernel rejects: the op, its backend, the matrix and words of the message.
+_VALUE_ERRORS = [
+    ("inv", "local", [[1.0, 2.0], [2.0, 4.0]], "Singular matrix"),
+    ("inv", "bat", [[0.0, 1.0], [1.0, 0.0]], "zero pivot"),
+    ("chf", "local", [[1.0, 2.0], [0.0, 1.0]], "symmetric"),
+    ("evl", "local", [[0.0, -1.0], [1.0, 0.0]], "complex eigenvalues"),
+    ("qqr", "bat", [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], "rank-deficient"),
+    ("qqr", "spark", [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], "full-rank"),
+]
+
+
+@pytest.mark.parametrize("op,backend,m,words", _VALUE_ERRORS, ids=[f"{v[0]}-{v[1]}" for v in _VALUE_ERRORS])
+def test_kernel_value_error_names_the_op(spark, op, backend, m, words):
+    r = spark.createDataFrame([(f"k{i}", *row) for i, row in enumerate(m)], "k string, v double, w double")
+    with pytest.raises(ValueError, match=f"^{op}: .*{words}"):
+        ops.UNARY_OPS[op](r, ["k"], backend=backend)
