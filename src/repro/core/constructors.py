@@ -23,19 +23,33 @@ defined, on which the Figure 2–3 tests rest. Data crosses
 between Spark and the driver as Arrow tables, whose validity bitmaps keep
 a null apart from every value (NaN included), so an order part keeps the
 Spark type and value of every origin.
+
+μ costs one ``toArrow`` collect per input that γ did not build. γ keeps
+the Arrow table it hands to ``createDataFrame`` for as long as the
+relation it returns is alive, and μ of that very relation reads the
+table instead: a relation built by ``createDataFrame`` cannot change, and
+a projection or any other derived relation is a new object that μ
+collects as usual.
 """
 from __future__ import annotations
 
+import weakref
 from typing import Sequence
 
 import numpy as np
 import pyarrow as pa
 from pyspark.sql import Column, DataFrame, SparkSession, Window
 from pyspark.sql import functions as F
+from pyspark.sql.pandas.types import from_arrow_schema
+from pyspark.sql.utils import is_timestamp_ntz_preferred
 
 
 #: Spark's guard on the bytes one action may collect to the driver.
 _MAX_RESULT_SIZE = "spark.driver.maxResultSize"
+
+#: The Arrow table of each relation that γ built, alive as long as the
+#: relation. DataFrames hash by identity, so only that object finds it.
+_BUILT: weakref.WeakKeyDictionary[DataFrame, pa.Table] = weakref.WeakKeyDictionary()
 
 
 class DriverLimitError(ValueError):
@@ -64,10 +78,12 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     float64 matrix — the results of ``μ_U(r)`` and ``μ̄_U(r)``. This is the
     "copy to MKL format" step of the paper's RMA+MKL backend; its cost is
     what §8.5 measures. The copy is one unsorted Arrow collect (no range
-    sort, so no sampling job or shuffle of its own); the rows are then
-    sorted on the driver, stably and in Spark's ascending order: nulls
-    first, NaN after every number, ``-0.0`` equal to ``0.0``, strings by
-    code point. A null application value reads as NaN.
+    sort, so no sampling job or shuffle of its own) per input that γ did
+    not build; a relation that :func:`relation_constructor` returned is
+    read from the Arrow table γ kept, and starts no Spark job. The rows
+    are then sorted on the driver, stably and in Spark's ascending order:
+    nulls first, NaN after every number, ``-0.0`` equal to ``0.0``,
+    strings by code point. A null application value reads as NaN.
 
     Given ``op``, the copy validates ``r`` for that operation: a null
     application value raises (found from Arrow's ``null_count``, with no
@@ -77,18 +93,22 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     equals NaN, ``-0.0`` equals ``0.0``).
 
     Spark aborts the collect when it exceeds ``spark.driver.maxResultSize``;
-    that raises :class:`DriverLimitError`, naming ``op`` and the limit.
+    that raises :class:`DriverLimitError`, naming ``op`` and the limit. A
+    relation γ built is already on the driver, so the limit does not
+    apply to it.
     """
     by = list(by)
     app = application_schema(r, by)
-    try:
-        t = r.toArrow()
-    except Exception as e:  # Spark aborts the collect job; pyspark re-raises the JVM error
-        if _MAX_RESULT_SIZE not in str(e):
-            raise
-        limit = r.sparkSession.sparkContext.getConf().get(_MAX_RESULT_SIZE, "1g")
-        raise DriverLimitError(f"{op or 'μ'}: the input does not fit {_MAX_RESULT_SIZE} = {limit} "
-                               "on the driver") from None
+    t = _BUILT.get(r)
+    if t is None:
+        try:
+            t = r.toArrow()
+        except Exception as e:  # Spark aborts the collect job; pyspark re-raises the JVM error
+            if _MAX_RESULT_SIZE not in str(e):
+                raise
+            limit = r.sparkSession.sparkContext.getConf().get(_MAX_RESULT_SIZE, "1g")
+            raise DriverLimitError(f"{op or 'μ'}: the input does not fit {_MAX_RESULT_SIZE} = {limit} "
+                                   "on the driver") from None
     ranks = [_ranks(t[c]) for c in by]
     perm = np.lexsort(ranks[::-1]) if by else np.arange(t.num_rows)
     if op is not None:
@@ -190,6 +210,10 @@ def relation_constructor(
     other matrices keep their values, and order parts keep their Spark
     types and values. Raises if attribute names collide — the relation
     constructor requires a well-formed schema.
+
+    The Arrow table handed to ``createDataFrame`` is kept for
+    :func:`split_sorted` of the returned relation, as long as that
+    relation lives.
     """
     names = list(schema)
     if len(set(names)) != len(names):
@@ -214,4 +238,9 @@ def relation_constructor(
     if len(cols) != len(names):
         raise ValueError(f"schema has {len(names)} attributes but parts supply {len(cols)} columns")
     fields = [pa.field(n, col.type) if f is None else f.with_name(n) for n, (f, col) in zip(names, cols)]
-    return spark.createDataFrame(pa.Table.from_arrays([col for _, col in cols], schema=pa.schema(fields)))
+    t = pa.Table.from_arrays([col for _, col in cols], schema=pa.schema(fields))
+    # Without a schema, pyspark adds the fields to a StructType one at a
+    # time, and each addition rescans every field: quadratic in the width.
+    r = spark.createDataFrame(t, from_arrow_schema(t.schema, is_timestamp_ntz_preferred()))
+    _BUILT[r] = t
+    return r

@@ -33,7 +33,8 @@ The operand shapes are checked once per call, on every backend, against
 Backends (``backend=`` keyword):
 
 - ``"local"`` — the RMA+MKL analogue: copy each input to the driver in
-  one unsorted Arrow collect, then sort it, check there that its order
+  one unsorted Arrow collect (none for a relation γ built, whose Arrow
+  table is still there), then sort it, check there that its order
   schema is a key and its application part holds no null, read ``∇``
   there, run numpy/LAPACK, rebuild the relation.
 - ``"spark"`` — distributed kernels (:mod:`repro.core.distributed`) for

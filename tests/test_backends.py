@@ -288,6 +288,15 @@ assert np.allclose(beta.loc[[*app[:3], "intercept"]], want_beta, rtol=0, atol=1e
 cov = covariance_via_cpd(r, "id").toPandas().set_index("C").loc[app, app].to_numpy()
 assert np.allclose(cov, np.cov(a, rowvar=False), rtol=1e-12), cov
 raises(lambda: covariance(r, "id"), "tra: ")  # w4 has one column per tuple
+
+# opd's 8 MB result is built by γ on the driver, so tra reads it there and collects nothing.
+x, y = g.random(1000), g.random(1000)
+big = ops.opd(spark.createDataFrame(pd.DataFrame(dict(i=np.arange(1000), x=x))),
+              spark.createDataFrame(pd.DataFrame(dict(j=np.arange(1000), y=y))), "i", "j")
+out, names = ops.tra(big, "i"), [str(i) for i in range(1000)]
+for b in range(0, 1000, 50):  # blocks of 400 KB, each under the limit
+    block = out.select("C", *names[b:b + 50]).toPandas().set_index("C").loc[names].to_numpy()
+    assert np.array_equal(block, np.outer(y, x)[:, b:b + 50]), b
 spark.stop()
 """
 
@@ -297,6 +306,7 @@ def test_auto_falls_back_to_the_engine_over_the_driver_limit(tmp_path):
     engine; ``qqr``, which has no kernel there as accurate as LAPACK, and an explicit ``local``
     call raise a ``ValueError`` naming the operation and the limit. So do the workloads: ``ols``
     and ``covariance_via_cpd`` run, and the literal Fig. 6 ``covariance`` raises at its ``tra``.
+    The limit bounds collects only: ``tra`` of an 8 MB relation that ``opd``'s γ built runs.
 
     The limit is fixed when the driver starts, so the calls run in a driver of their own. Broadcast
     joins are off, as in the test session: the check joins the result with the expected values,

@@ -1,12 +1,18 @@
 """Tests for the matrix/relation constructors and casts (Sections 3, 4.1)."""
+import datetime
+import decimal
+import gc
 import math
+import weakref
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 from pyspark.sql import functions as F
 
-from helpers import KEY_CASES, key_case
+from helpers import KEY_CASES, key_case, sorted_matrix, spark_jobs
+from repro.core import constructors, ops
 from repro.core.constructors import (
     application_schema,
     column_cast,
@@ -157,3 +163,79 @@ def test_relation_constructor_mixed_context_and_numeric(spark):
     pdf = out.orderBy("C").toPandas()
     assert pdf["C"].tolist() == ["x", "y"]
     assert pdf["v"].tolist() == [1.0, 2.0]
+
+
+def test_relation_constructor_schema_matches_create_dataframe(spark):
+    """γ passes the Spark schema that ``createDataFrame`` derives from the Arrow table itself."""
+    t = pa.table({
+        "s": pa.array(["x", None]),
+        "i": pa.array([1, 2], pa.int32()),
+        "d": pa.array([1.5, float("nan")]),
+        "m": pa.array([decimal.Decimal("1.25"), None], pa.decimal128(10, 2)),
+        "ts": pa.array([datetime.datetime(2020, 1, 1, 3), None], pa.timestamp("us")),
+        "tz": pa.array([datetime.datetime(2020, 1, 1, 3), None], pa.timestamp("us", tz="UTC")),
+    })
+    before = spark.conf.get("spark.sql.timestampType")
+    try:
+        for setting in ("TIMESTAMP_NTZ", "TIMESTAMP_LTZ"):
+            spark.conf.set("spark.sql.timestampType", setting)
+            assert relation_constructor(spark, [t], t.column_names).schema == spark.createDataFrame(t).schema
+    finally:
+        spark.conf.set("spark.sql.timestampType", before)
+
+
+def test_second_tra_of_a_gamma_relation_starts_no_job(spark, rel_factory):
+    r, m = rel_factory(6, 3)
+    tr = ops.tra(r, "id")
+    with spark_jobs(spark) as jobs:
+        back = ops.tra(tr, "C")
+    assert jobs() == 0
+    assert sorted_matrix(back, ["C"], ["a00", "a01", "a02"]).tolist() == m.tolist()
+
+
+def test_inv_of_a_gram_starts_no_job(spark, rel_factory):
+    r, m = rel_factory(8, 3, seed=3)
+    gram = ops.cpd(r, r, "id", "id")
+    with spark_jobs(spark) as jobs:
+        gi = ops.inv(gram, ["C"])
+    assert jobs() == 0
+    assert np.allclose(sorted_matrix(gi, ["C"], ["a00", "a01", "a02"]), np.linalg.inv(m.T @ m), rtol=1e-12)
+
+
+def _mu(r, by, op=None):
+    """``split_sorted``'s result, or the text of the ``ValueError`` it raised."""
+    try:
+        return split_sorted(r, by, op)
+    except ValueError as e:
+        return str(e)
+
+
+def _bits(col):
+    """The values of an order column, with NaN and ``-0.0`` told apart by their text."""
+    return [(type(v), repr(v)) for v in col.to_pylist()]
+
+
+@pytest.mark.parametrize("case", KEY_CASES)
+def test_mu_of_a_gamma_relation_equals_its_collect(spark, case):
+    """μ reads γ's kept table; it gives what collecting the relation gives, checks included."""
+    r, by = key_case(spark, case)
+    g = relation_constructor(spark, split_sorted(r, by), [*by, "v"])
+    assert g in constructors._BUILT
+    for op in (None, "qqr"):
+        got, want = _mu(g, by, op), _mu(g.select("*"), by, op)
+        if isinstance(want, str):  # only the key check raises here
+            assert op is not None and "does not form a key" in want
+            assert got == want
+            continue
+        (order, m), (want_order, want_m) = got, want
+        assert order.schema == want_order.schema
+        assert [_bits(c) for c in order.columns] == [_bits(c) for c in want_order.columns]
+        assert m.shape == want_m.shape and m.tobytes() == want_m.tobytes()
+
+
+def test_gamma_s_table_dies_with_its_relation(spark):
+    g = relation_constructor(spark, [np.ones((2, 2))], ["A", "B"])
+    kept = weakref.ref(constructors._BUILT[g])
+    del g
+    gc.collect()
+    assert kept() is None
