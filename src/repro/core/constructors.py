@@ -70,7 +70,7 @@ def application_schema(r: DataFrame, by: Sequence[str]) -> list[str]:
     return [c for c in r.columns if c not in set(by)]
 
 
-def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tuple[pa.Table, np.ndarray]:
+def split_sorted(r: DataFrame, by: Sequence[str], check: bool = False) -> tuple[pa.Table, np.ndarray]:
     """Split ``r`` into (order part, application part) sorted by ``by``.
 
     Returns the order part as an Arrow table (contextual values, kept as
@@ -85,17 +85,17 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     nulls first, NaN after every number, ``-0.0`` equal to ``0.0``,
     strings by code point. A null application value reads as NaN.
 
-    Given ``op``, the copy validates ``r`` for that operation: a null
-    application value raises (found from Arrow's ``null_count``, with no
-    pass over the data), and so does an order schema that is not a key —
-    two neighbours of the sort with equal ranks in every order attribute,
-    which is Spark's grouping equality (null equals null but not NaN, NaN
-    equals NaN, ``-0.0`` equals ``0.0``).
+    With ``check``, the copy validates ``r``: a null application value
+    raises (found from Arrow's ``null_count``, with no pass over the data),
+    and so does an order schema that is not a key — two neighbours of the
+    sort with equal ranks in every order attribute, which is Spark's
+    grouping equality (null equals null but not NaN, NaN equals NaN,
+    ``-0.0`` equals ``0.0``). The messages do not name an operation;
+    ``ops`` prefixes its own.
 
     Spark aborts the collect when it exceeds ``spark.driver.maxResultSize``;
-    that raises :class:`DriverLimitError`, naming ``op`` and the limit. A
-    relation γ built is already on the driver, so the limit does not
-    apply to it.
+    that raises :class:`DriverLimitError`, naming the limit. A relation γ
+    built is already on the driver, so the limit does not apply to it.
     """
     by = list(by)
     app = application_schema(r, by)
@@ -107,17 +107,16 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
             if _MAX_RESULT_SIZE not in str(e):
                 raise
             limit = r.sparkSession.sparkContext.getConf().get(_MAX_RESULT_SIZE, "1g")
-            raise DriverLimitError(f"{op or 'μ'}: the input does not fit {_MAX_RESULT_SIZE} = {limit} "
-                                   "on the driver") from None
+            raise DriverLimitError(f"the input does not fit {_MAX_RESULT_SIZE} = {limit} on the driver") from None
     ranks = [_ranks(t[c]) for c in by]
     perm = np.lexsort(ranks[::-1]) if by else np.arange(t.num_rows)
-    if op is not None:
-        check_no_nulls(op, [c for c in app if t[c].null_count])
+    if check:
+        check_no_nulls([c for c in app if t[c].null_count])
         tie = np.ones(max(t.num_rows - 1, 0), dtype=bool)  # row i of the sort ties row i + 1
         for rk in ranks:
             tie &= np.diff(rk[perm]) == 0
         if tie.any():
-            raise ValueError(f"{op}: order schema {by} does not form a key")
+            raise ValueError(f"order schema {by} does not form a key")
     # A table without columns keeps its row count, but not through take.
     order = t.select(by).take(perm) if by else t.select(by)
     # Gather column by column: permuting the whole table would hold a second
@@ -129,10 +128,13 @@ def split_sorted(r: DataFrame, by: Sequence[str], op: str | None = None) -> tupl
     return order, m
 
 
-def check_no_nulls(op: str, attrs: Sequence[str]) -> None:
-    """Reject application attributes ``attrs`` that hold nulls: a matrix has no null cell."""
+def check_no_nulls(attrs: Sequence[str]) -> None:
+    """Reject application attributes ``attrs`` that hold nulls: a matrix has no null cell.
+
+    The message names the attributes, not the operation; ``ops`` prefixes it.
+    """
     if attrs:
-        raise ValueError(f"{op}: application attribute(s) {list(attrs)} hold nulls")
+        raise ValueError(f"application attribute(s) {list(attrs)} hold nulls")
 
 
 def _ranks(col: pa.ChunkedArray) -> np.ndarray:

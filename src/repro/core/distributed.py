@@ -13,9 +13,9 @@ kernels assume operands whose shapes ``ops`` has checked.
   keys (the paper's §8.1 sort-avoidance optimisation);
 - :func:`gram` — ``AᵀB`` via per-partition partial Gram matrices
   (exact; addition is permutation-invariant so no sort is needed);
-- :func:`mmu_rows` — matrix multiply with a broadcast right operand
-  (the right operand of ``mmu`` has as many *rows* as the left has
-  columns, so it is always small);
+- :func:`mmu_rows` — matrix multiply with the right operand shipped to
+  every task in the function's closure (the right operand of ``mmu`` has
+  as many *rows* as the left has columns, so it is always small);
 - :func:`qqr_rows` — CholeskyQR: ``R`` from the Gram matrix, then each
   row's Q values through the ``mmu`` kernel with ``R⁻¹`` as the right
   operand (no global sort: row i of Q belongs to row i of the input,
@@ -138,13 +138,15 @@ def qqr_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str]) -> DataFrame
 
 def mmu_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
              right: np.ndarray, out_app: Sequence[str]) -> DataFrame:
-    """``mmu`` with a broadcast right matrix: schema ``U ∘ V̄``.
+    """``mmu`` with the right matrix sent to every task: schema ``U ∘ V̄``.
 
     ``right`` is the (already U-sorted) ``j1×j2`` matrix of the second
     relation — small by construction, since ``j1`` equals the number of
-    application attributes of ``r``.
+    application attributes of ``r``. It travels in the closure of the
+    ``mapInArrow`` function, which pyspark broadcasts on its own when it
+    is large; an explicit broadcast would leave a file in the driver's
+    temp directory per call.
     """
-    b_right = r.sparkSession.sparkContext.broadcast(right)
     in_fields = {f.name: f for f in r.schema.fields}
     out_schema = T.StructType(
         [in_fields[c] for c in by] + [T.StructField(c, T.DoubleType()) for c in out_app]
@@ -154,7 +156,7 @@ def mmu_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str],
     def mul(batches: Iterator[pa.RecordBatch]) -> Iterator[pa.RecordBatch]:
         for b in batches:
             a = np.array([b[c].to_numpy(zero_copy_only=False) for c in app_l], dtype=np.float64).T
-            prod = a @ b_right.value
+            prod = a @ right
             yield pa.RecordBatch.from_arrays([*(b[c] for c in by_l), *prod.T], names=[*by_l, *out_l])
 
     return r.select(*by_l, *app_l).mapInArrow(mul, schema=out_schema)

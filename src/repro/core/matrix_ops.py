@@ -14,7 +14,8 @@ float64 arrays and are deterministic:
   the full n×n left-vector matrix, ``dsv`` the k×k diagonal matrix of
   singular values, ``vsv`` the n×1 vector of the singular values of
   ``m``, zero-padded to n rows — see DESIGN.md for the Table-1-vs-prose
-  discrepancy this resolves.
+  discrepancy this resolves. ``dsv``/``vsv`` compute the values only, no
+  singular vectors.
 
 The operations assume operands whose shapes the relational layer has
 checked (``shapes.OPERAND_CONSTRAINTS``) and raise only on values.
@@ -103,21 +104,20 @@ def usv(m: np.ndarray) -> np.ndarray:
     return _sign_canonical_columns(u)
 
 
+def _singular_values(m: np.ndarray, rows: int) -> np.ndarray:
+    """The singular values of ``m``, descending and zero-padded to ``rows``; no singular vectors."""
+    s = np.linalg.svd(m, compute_uv=False)
+    return np.pad(s, (0, rows - len(s)))
+
+
 def dsv(m: np.ndarray) -> np.ndarray:
     """DSV: diagonal matrix of singular values, ``i1×j1 → j1×j1``."""
-    _, s, _ = np.linalg.svd(m)
-    k = m.shape[1]
-    d = np.zeros((k, k))
-    np.fill_diagonal(d, np.pad(s, (0, max(0, k - len(s))))[:k])
-    return d
+    return np.diag(_singular_values(m, m.shape[1]))
 
 
 def vsv(m: np.ndarray) -> np.ndarray:
     """VSV: the singular values of ``m`` as an n×1 column, zero-padded to n rows (Table 1)."""
-    _, s, _ = np.linalg.svd(m)
-    out = np.zeros((m.shape[0], 1))
-    out[: len(s), 0] = s
-    return out
+    return _singular_values(m, m.shape[0]).reshape(-1, 1)
 
 
 def _sign_canonical_columns(u: np.ndarray) -> np.ndarray:

@@ -26,9 +26,12 @@ shape type     operations  result schema
 
 The result schema is derived from the shape type alone (:func:`_apply`):
 the rows axis picks the row origins, the cols axis the column names.
-The operand shapes are checked once per call, on every backend, against
+Each input is validated once, in one step: μ checks a copy on the driver,
+one aggregation an input that stays in the engine. The operand shapes are
+then checked once per call, on every backend, against
 ``shapes.OPERAND_CONSTRAINTS``; the kernels assume checked operands. Every
-``ValueError`` of a call starts with ``<op>: ``.
+``ValueError`` of a call starts with ``<op>: ``, which one ``except`` in
+:func:`_apply` adds; no check below it names the op.
 
 Backends (``backend=`` keyword):
 
@@ -49,7 +52,7 @@ Backends (``backend=`` keyword):
 """
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import ChainMap, namedtuple
 from typing import Sequence
 
 import numpy as np
@@ -74,8 +77,6 @@ C_ATTR = "C"
 _ALIGNS = ("position", "keys")
 _KEY_SETS = "align='keys' needs both order schemas to hold the same key values"
 
-_NUMERIC = (T.ByteType, T.ShortType, T.IntegerType, T.LongType, T.FloatType, T.DoubleType, T.DecimalType)
-
 
 def _norm(by: str | Sequence[str]) -> list[str]:
     return [by] if isinstance(by, str) else list(by)
@@ -96,11 +97,13 @@ def _zip(c: _Call) -> DataFrame:
     return distributed.zip_linear(c.r, c.by, c.s, c.by2, c.app_r, c.app_s, c.op, c.schema, align=c.align)
 
 
-# Kernels other than LAPACK (``matrix_ops.UNARY``/``BINARY``). Spark kernels
-# take the call and return the result relation, or a small matrix that is
-# rebuilt with γ; BAT kernels take the sorted matrices like LAPACK does.
-# Entries look their functions up when they run, so they can be swapped.
+# The kernels of each backend. LAPACK and BAT kernels take the sorted
+# matrices; spark kernels take the call and return the result relation, or
+# a small matrix that is rebuilt with γ. Entries look their functions up
+# when they run, and the local table reads ``matrix_ops.UNARY``/``BINARY``
+# at each lookup, so any of them can be swapped.
 _KERNELS = {
+    "local": ChainMap(matrix_ops.UNARY, matrix_ops.BINARY),
     "spark": {
         "add": _zip,
         "sub": _zip,
@@ -127,65 +130,50 @@ _FALLBACK = ("add", "sub", "emu", "cpd", "mmu")
 
 def _backend(op: str, backend: str) -> str:
     """Resolve ``auto`` to ``local``; reject unknown backends and those without a kernel for ``op``."""
-    if backend in ("auto", "local") or op in _KERNELS.get(backend, ()):
+    if backend == "auto" or op in _KERNELS.get(backend, ()):
         return "local" if backend == "auto" else backend
-    usable = ["auto", "local", *[b for b, table in _KERNELS.items() if op in table]]
-    raise ValueError(f"{op}: no {backend.upper()} kernel for backend={backend!r}; use one of {usable}")
+    usable = ["auto", *[b for b, table in _KERNELS.items() if op in table]]
+    raise ValueError(f"no {backend.upper()} kernel for backend={backend!r}; use one of {usable}")
 
 
-def _application(r: DataFrame, by: list[str], op: str) -> list[str]:
+def _application(r: DataFrame, by: list[str]) -> list[str]:
     """Check the application schema Ū of ``r`` is non-empty and numeric; return it."""
-    try:
-        app = application_schema(r, by)
-    except ValueError as e:
-        raise ValueError(f"{op}: {e}") from None
+    app = application_schema(r, by)
     if not app:
-        raise ValueError(f"{op}: application schema is empty (every attribute is in the order schema)")
+        raise ValueError("application schema is empty (every attribute is in the order schema)")
     fields = {f.name: f.dataType for f in r.schema.fields}
-    bad = [c for c in app if not isinstance(fields[c], _NUMERIC)]
+    bad = [c for c in app if not isinstance(fields[c], T.NumericType)]
     if bad:
         raise ValueError(
-            f"{op}: application attributes must be numeric; {bad} are not "
+            f"application attributes must be numeric; {bad} are not "
             "(add them to the order schema or project them away)"
         )
     return app
 
 
-def _tuples(r: DataFrame, by: list[str], app: list[str], op: str) -> int:
-    """Tuples of an engine input ``r``, after checking that ``by`` is a key and ``app`` holds no null.
+def _input(r: DataFrame, by: list[str], app: list[str], copy: bool) -> tuple:
+    """One checked input of a call: ``(order, m, tuples)``.
 
-    One aggregation: ``count(1)``, ``count(DISTINCT struct(U))`` and
-    ``count(Ū)``, the tuples without a null application value; only if that
-    falls short does a second aggregation name the attributes that hold
-    nulls. Keys are counted as Spark groups them: nulls equal each other,
-    NaN equals NaN, ``-0.0`` equals ``0.0``. (An input copied to the driver
-    is checked by :func:`split_sorted` instead.)
+    A ``copy`` is μ of ``r``, validated by :func:`split_sorted` on the
+    driver. An input that stays in the engine is ``(None, None, tuples)``,
+    after one aggregation checks that ``by`` is a key and ``app`` holds no
+    null: ``count(1)``, ``count(DISTINCT struct(U))`` and ``count(Ū)``, the
+    tuples without a null application value; only if that falls short does
+    a second aggregation name the attributes that hold nulls. Keys are
+    counted as Spark groups them: nulls equal each other, NaN equals NaN,
+    ``-0.0`` equals ``0.0``.
     """
+    if copy:
+        order, m = split_sorted(r, by, check=True)
+        return order, m, order.num_rows
     n, keys, full = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by)),
                           F.call_function("count", *[F.col(c) for c in app])).first()
     if keys != n:
-        raise ValueError(f"{op}: order schema {by} does not form a key")
+        raise ValueError(f"order schema {by} does not form a key")
     if full != n:
         counts = r.agg(*[F.count(c) for c in app]).first()
-        check_no_nulls(op, [c for c, k in zip(app, counts) if k != n])
-    return n
-
-
-def _copies(op: str, binary: bool, r: DataFrame, by: list[str], s: DataFrame | None,
-            by2: list[str], shared: bool, backend: str) -> tuple:
-    """μ of each input that ``backend``'s kernel reads on the driver: ``(order_r, m, order_s, n)``.
-
-    A LAPACK/BAT kernel reads every input there, the spark ``mmu`` its
-    right operand; ``None`` stands for an input that stays in the engine.
-    ``split_sorted`` validates each copy; a shared input is copied once.
-    """
-    local = backend != "spark"
-    order_r, m = split_sorted(r, by, op) if local else (None, None)
-    if binary and shared and local:
-        return order_r, m, order_r, m
-    if binary and (local or op == "mmu"):
-        return order_r, m, *split_sorted(s, by2, op)
-    return order_r, m, None, None
+        check_no_nulls([c for c, k in zip(app, counts) if k != n])
+    return None, None, n
 
 
 def _same_keys(order_r, order_s) -> bool:
@@ -214,82 +202,86 @@ def _apply(
     backend: str,
     align: str = "position",
 ) -> DataFrame:
-    """Run relational matrix operation ``op``; its shape type fixes the result schema."""
-    st = shape_type(op)
-    by, by2 = _norm(by), _norm(by2)
-    shared = s is r and by2 == by
-    auto = backend == "auto"
-    backend = _backend(op, backend)
-    if align not in _ALIGNS:
-        raise ValueError(f"{op}: unknown align {align!r}; use one of {list(_ALIGNS)}")
-    if align == "keys" and len(by) != len(by2):
-        raise ValueError(f"{op}: key alignment requires order schemas of equal length")
-    app_r = _application(r, by, op)
-    app_s = _application(s, by2, op) if st.binary else []
-    cast = {Dim.R1: by, Dim.R2: by2}.get(st.cols)  # result columns named by ∇ of this order schema
-    if cast is not None and len(cast) != 1:
-        raise ValueError(
-            f"{op}: the order schema {cast} must have exactly one attribute "
-            "(its column cast ∇ names the result columns)"
-        )
+    """Run relational matrix operation ``op``; its shape type fixes the result schema.
 
-    # μ copies what the kernel reads on the driver; under auto, a copy that
-    # Spark aborts sends the call to the engine. An input that stays in the
-    # engine pays one validating aggregation.
+    Every ``ValueError`` of the call leaves here, and only here, prefixed
+    ``"<op>: "``; a :class:`DriverLimitError` stays one.
+    """
     try:
-        order_r, m, order_s, n = _copies(op, st.binary, r, by, s, by2, shared, backend)
-    except DriverLimitError as e:
-        if not auto:
-            raise
-        if op not in _FALLBACK:
-            raise DriverLimitError(f"{e}; {op} has no spark kernel as accurate as LAPACK") from None
-        backend = "spark"
-        order_r, m, order_s, n = _copies(op, st.binary, r, by, s, by2, shared, backend)
-    copy_r = order_s if shared else order_r
-    n_r = _tuples(r, by, app_r, op) if copy_r is None else copy_r.num_rows
-    if shared or not st.binary:
-        n_s = n_r
-    else:
-        n_s = _tuples(s, by2, app_s, op) if order_s is None else order_s.num_rows
-    dims = {"r1": n_r, "c1": len(app_r), "r2": n_s, "c2": len(app_s)}
-    for names, holds, message in OPERAND_CONSTRAINTS:
-        if op in names and not holds(**dims):
-            raise ValueError(f"{op}: " + message.format(**dims))
-    # LAPACK pairs the i-th sorted rows, the spark kernel joins on the keys:
-    # the same pairing exactly when both hold the same key values. The
-    # sorted order parts tell that before any matrix work; the spark kernel
-    # counts its join's rows after it.
-    if align == "keys" and backend != "spark" and not _same_keys(order_r, order_s):
-        raise ValueError(f"{op}: {_KEY_SETS}")
+        st = shape_type(op)
+        by, by2 = _norm(by), _norm(by2)
+        shared = s is r and by2 == by
+        auto = backend == "auto"
+        backend = _backend(op, backend)
+        if align not in _ALIGNS:
+            raise ValueError(f"unknown align {align!r}; use one of {list(_ALIGNS)}")
+        if align == "keys" and len(by) != len(by2):
+            raise ValueError("key alignment requires order schemas of equal length")
+        app_r = _application(r, by)
+        app_s = _application(s, by2) if st.binary else []
+        cast = {Dim.R1: by, Dim.R2: by2}.get(st.cols)  # result columns named by ∇ of this order schema
+        if cast is not None and len(cast) != 1:
+            raise ValueError(
+                f"the order schema {cast} must have exactly one attribute "
+                "(its column cast ∇ names the result columns)"
+            )
 
-    rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
-    if cast is not None:
-        cols = column_cast(order_r if st.cols is Dim.R1 else order_s, cast[0])
-    else:
-        cols = {Dim.C2: app_s, Dim.ONE: [op]}.get(st.cols, app_r)
-    schema = [*rows, *cols]
-    if len(set(schema)) != len(schema):
-        raise ValueError(
-            f"{op}: result attributes {schema} clash; rename (ρ) attributes "
-            "so that the origins of every cell stay distinguishable"
-        )
+        # Each input goes through one step: μ if the kernel reads it on the
+        # driver (a LAPACK/BAT kernel every input, the spark mmu its right
+        # operand), else one validating aggregation; a shared input goes
+        # through once. Under auto, a copy that Spark aborts sends the call
+        # to the engine.
+        def inputs(backend: str) -> tuple:
+            copy_r, copy_s = backend != "spark", backend != "spark" or op == "mmu"
+            first = _input(r, by, app_r, copy_s if shared else copy_r)
+            return first, (first if shared or not st.binary else _input(s, by2, app_s, copy_s))
 
-    if backend == "spark":
-        kernel, args = _KERNELS["spark"][op], (_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared),)
-    else:
-        kernel = _KERNELS["bat"][op] if backend == "bat" else (matrix_ops.BINARY if st.binary else matrix_ops.UNARY)[op]
-        args = (m, n) if st.binary else (m,)
-    try:  # a kernel raises only on values: a zero pivot, a rank deficiency, ...
-        base = kernel(*args)
+        try:
+            (order_r, m, n_r), (order_s, n, n_s) = inputs(backend)
+        except DriverLimitError as e:
+            if not auto:
+                raise
+            if op not in _FALLBACK:
+                raise DriverLimitError(f"{e}; {op} has no spark kernel as accurate as LAPACK") from None
+            backend = "spark"
+            (order_r, m, n_r), (order_s, n, n_s) = inputs(backend)
+        dims = {"r1": n_r, "c1": len(app_r), "r2": n_s, "c2": len(app_s)}
+        for names, holds, message in OPERAND_CONSTRAINTS:
+            if op in names and not holds(**dims):
+                raise ValueError(message.format(**dims))
+        # LAPACK pairs the i-th sorted rows, the spark kernel joins on the keys:
+        # the same pairing exactly when both hold the same key values. The
+        # sorted order parts tell that before any matrix work; the spark kernel
+        # counts its join's rows after it.
+        if align == "keys" and backend != "spark" and not _same_keys(order_r, order_s):
+            raise ValueError(_KEY_SETS)
+
+        rows = {Dim.R1: by, Dim.RS: [*by, *by2]}.get(st.rows, [C_ATTR])
+        if cast is not None:
+            cols = column_cast(order_r if st.cols is Dim.R1 else order_s, cast[0])
+        else:
+            cols = {Dim.C2: app_s, Dim.ONE: [op]}.get(st.cols, app_r)
+        schema = [*rows, *cols]
+        if len(set(schema)) != len(schema):
+            raise ValueError(
+                f"result attributes {schema} clash; rename (ρ) attributes "
+                "so that the origins of every cell stay distinguishable"
+            )
+
+        if backend == "spark":
+            args = (_Call(op, r, by, app_r, s, by2, app_s, n, schema, align, shared),)
+        else:
+            args = (m, n) if st.binary else (m,)
+        base = _KERNELS[backend][op](*args)  # raises only on values: a zero pivot, a rank deficiency, ...
+        if align == "keys" and backend == "spark" and base.count() != n_r:
+            raise ValueError(_KEY_SETS)
+        if isinstance(base, DataFrame):
+            return base
+        origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}
+        parts = origins.get(st.rows, [np.array([[op]], dtype=object)])
+        return relation_constructor(r.sparkSession, [*parts, base], schema)
     except ValueError as e:
-        raise ValueError(f"{op}: {e}") from e
-    if align == "keys" and backend == "spark" and base.count() != n_r:
-        raise ValueError(f"{op}: {_KEY_SETS}")
-    if isinstance(base, DataFrame):
-        return base
-    origins = {Dim.R1: [order_r], Dim.RS: [order_r, order_s], Dim.C1: [schema_cast(app_r)]}
-    parts = origins.get(st.rows, [np.array([[op]], dtype=object)])
-    return relation_constructor(r.sparkSession, [*parts, base], schema)
+        raise (DriverLimitError if isinstance(e, DriverLimitError) else ValueError)(f"{op}: {e}") from e
 
 
 # --- public API (one function per operation) ----------------------------

@@ -341,6 +341,17 @@ def test_gram_is_one_spark_job(spark, rel_factory):
     assert np.allclose(g, m.T @ m, rtol=1e-12)
 
 
+def test_spark_mmu_leaves_no_file_on_the_driver(spark, rel_factory):
+    """The spark mmu kernel, which qqr runs, ships its right operand in the task closure:
+    no broadcast file per call in the driver's temp directory."""
+    r, _ = rel_factory(60, 4, seed=5)
+    temp = pathlib.Path(spark.sparkContext._temp_dir)
+    before = len(list(temp.iterdir()))
+    for _ in range(3):
+        assert ops.qqr(r, ["id"], backend="spark").count() == 60
+    assert len(list(temp.iterdir())) == before
+
+
 def test_unavailable_backend_raises(rel_factory):
     r, _ = rel_factory(4, 4, square=True)
     with pytest.raises(ValueError, match="backend"):

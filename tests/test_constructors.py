@@ -89,15 +89,15 @@ def test_split_sorted_matches_spark_order(spark, case):
 
 @pytest.mark.parametrize("case", KEY_CASES)
 def test_split_sorted_key_verdict_matches_spark_count_distinct(spark, case):
-    """Given an op, the copy rejects exactly the relations where ``count(1) != count(DISTINCT struct(U))``:
+    """A checked copy rejects exactly the relations where ``count(1) != count(DISTINCT struct(U))``:
     null≠NaN, NaN=NaN, 0.0=−0.0, null=null."""
     r, by = key_case(spark, case)
     n, keys = r.agg(F.count(F.lit(1)), F.count_distinct(F.struct(*by))).first()
     if n == keys:
-        assert len(split_sorted(r, by, "qqr")[0]) == n
+        assert len(split_sorted(r, by, check=True)[0]) == n
     else:
-        with pytest.raises(ValueError, match=rf"^qqr: order schema \[.*\] does not form a key$"):
-            split_sorted(r, by, "qqr")
+        with pytest.raises(ValueError, match=r"^order schema \[.*\] does not form a key$"):
+            split_sorted(r, by, check=True)
 
 
 def test_column_cast_keeps_null_apart_from_nan(spark):
@@ -202,10 +202,10 @@ def test_inv_of_a_gram_starts_no_job(spark, rel_factory):
     assert np.allclose(sorted_matrix(gi, ["C"], ["a00", "a01", "a02"]), np.linalg.inv(m.T @ m), rtol=1e-12)
 
 
-def _mu(r, by, op=None):
+def _mu(r, by, check):
     """``split_sorted``'s result, or the text of the ``ValueError`` it raised."""
     try:
-        return split_sorted(r, by, op)
+        return split_sorted(r, by, check)
     except ValueError as e:
         return str(e)
 
@@ -221,10 +221,10 @@ def test_mu_of_a_gamma_relation_equals_its_collect(spark, case):
     r, by = key_case(spark, case)
     g = relation_constructor(spark, split_sorted(r, by), [*by, "v"])
     assert g in constructors._BUILT
-    for op in (None, "qqr"):
-        got, want = _mu(g, by, op), _mu(g.select("*"), by, op)
+    for check in (False, True):
+        got, want = _mu(g, by, check), _mu(g.select("*"), by, check)
         if isinstance(want, str):  # only the key check raises here
-            assert op is not None and "does not form a key" in want
+            assert check and "does not form a key" in want
             assert got == want
             continue
         (order, m), (want_order, want_m) = got, want

@@ -1,4 +1,6 @@
 """Tests for the base matrix algebra (numpy level) — Section 3.2 semantics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,19 @@ class TestSVD:
         assert v.shape == (n, 1)
         assert np.allclose(v[: len(s), 0], s)
         assert np.allclose(v[len(s):, 0], 0)
+
+
+@pytest.mark.parametrize("kernel", [M.dsv, M.vsv], ids=["dsv", "vsv"])
+def test_singular_values_build_no_singular_vectors(kernel):
+    """dsv/vsv compute values only: a full U of a 5000×3 input alone would take 200 MB."""
+    a = rand(5000, 3)
+    tracemalloc.start()
+    try:
+        kernel(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("n,seed", [(2, 0), (4, 1), (6, 2)])

@@ -164,17 +164,19 @@ def test_local_call_collects_each_input_once(spark, rel_pair, op):
     assert _jobs(spark, call) == collects
 
 
-@pytest.mark.parametrize("op", ["add", "cpd", "mmu"])
+@pytest.mark.parametrize("op", ["add", "cpd", "mmu", "mmu(r, r)"])
 def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
     """Inputs that stay in the engine are validated by one aggregation each.
 
     The call costs its kernel's jobs plus one aggregation per engine input.
     The spark ``mmu`` copies its right operand to the driver, so only its
-    left operand pays an aggregation; the copy validates the right one.
+    left operand pays an aggregation; the copy validates the right one. A
+    shared ``mmu(r, r)`` goes through that copy once and pays none.
     """
     r, s = rel_pair
     s = _union_compatible(s)
     t, _ = make_rel(spark, 3, 2, seed=3, key="id2", prefix="b")  # 3 rows: one per attribute of r
+    q, _ = make_rel(spark, 3, 3, seed=4)  # square, so mmu(q, q) is defined
     app = ["a00", "a01", "a02"]
     inputs, call, kernel = {
         "add": ([(r, "id"), (s, "id2")], lambda: ops.add(r, s, "id", "id2", backend="spark"),
@@ -183,6 +185,8 @@ def test_engine_inputs_keep_one_aggregation(spark, rel_pair, op):
                 lambda: distributed.gram(r, app)),
         "mmu": ([(r, "id")], lambda: ops.mmu(r, t, "id", "id2", backend="spark"),
                 lambda: distributed.mmu_rows(r, ["id"], app, split_sorted(t, ["id2"])[1], ["b00", "b01"])),
+        "mmu(r, r)": ([], lambda: ops.mmu(q, q, "id", "id", backend="spark"),
+                      lambda: distributed.mmu_rows(q, ["id"], app, split_sorted(q, ["id"])[1], app)),
     }[op]
     aggs = sum(_jobs(spark, lambda: x.agg(F.count(F.lit(1)), F.count_distinct(F.struct(by))).first())
                for x, by in inputs)
@@ -215,6 +219,54 @@ def test_null_application_value_rejected(spark, op, backend, side):
         call = lambda: ops.add(r, s, ["k"], ["k2"], backend=backend)  # noqa: E731
     with pytest.raises(ValueError, match=rf"^{op}: application attribute\(s\) \['v'\] hold nulls$"):
         call()
+
+
+def _relations(spark):
+    """Relations that each break one rule of an op call, and valid ones to pair them with."""
+    ddl = "k string, v double, w double"
+    return {
+        "ok": spark.createDataFrame(_ROWS, ddl),
+        "ok2": spark.createDataFrame(_ROWS, ddl.replace("k ", "k2 ")),
+        "other_keys": spark.createDataFrame([("a", 1.0, 2.0), ("b", 4.0, 1.0), ("d", 3.0, 5.0)],
+                                            ddl.replace("k ", "k2 ")),
+        "dup": spark.createDataFrame([("a", 1.0, 2.0), ("a", 4.0, 1.0), ("c", 3.0, 5.0)], ddl),
+        "null": _with_null(spark),
+        "text": spark.createDataFrame([("a", 1.0, "x"), ("b", 2.0, "y")], "k string, v double, s string"),
+        "two_keys": spark.createDataFrame([("a", 1, 1.0), ("a", 2, 2.0)], "k1 string, k2 int, v double"),
+        # A key (null ≠ "None") whose column cast ∇ gives two attributes named "None".
+        "cast": spark.createDataFrame([("None", 1.0), (None, 2.0)], "k string, v double"),
+    }
+
+
+# One broken rule per case: the op, the call on ``_relations``, and words of the message.
+_INPUT_ERRORS = {
+    **{f"duplicate_key-{b}": ("qqr", lambda x, b=b: ops.qqr(x["dup"], "k", backend=b), "does not form a key")
+       for b in _BACKENDS},
+    **{f"null-{b}": ("qqr", lambda x, b=b: ops.qqr(x["null"], "k", backend=b), "hold nulls")
+       for b in ("local", "spark")},
+    "missing_order_attribute": ("qqr", lambda x: ops.qqr(x["ok"], ["missing"]), "not in schema"),
+    "duplicate_order_attribute": ("qqr", lambda x: ops.qqr(x["ok"], ["k", "k"]), "duplicate attributes"),
+    "non_numeric": ("qqr", lambda x: ops.qqr(x["text"], "k"), "must be numeric"),
+    "empty_application": ("qqr", lambda x: ops.qqr(x["ok"].select("k", "v"), ["k", "v"]),
+                          "application schema is empty"),
+    "cast_arity": ("tra", lambda x: ops.tra(x["two_keys"], ["k1", "k2"]), "exactly one attribute"),
+    "column_cast-tra": ("tra", lambda x: ops.tra(x["cast"], "k"), "duplicate attribute names"),
+    "column_cast-usv": ("usv", lambda x: ops.usv(x["cast"], "k"), "duplicate attribute names"),
+    "column_cast-opd": ("opd", lambda x: ops.opd(x["ok"].select("k", "v"), x["cast"].withColumnRenamed("k", "k2"),
+                                                 "k", "k2"), "duplicate attribute names"),
+    "unknown_align": ("add", lambda x: ops.add(x["ok"], x["ok2"], "k", "k2", align="rows"), "unknown align"),
+    "unknown_backend": ("qqr", lambda x: ops.qqr(x["ok"], "k", backend="gpu"), "no GPU kernel"),
+    **{f"key_sets-{b}": ("add", lambda x, b=b: ops.add(x["ok"], x["other_keys"], "k", "k2", backend=b, align="keys"),
+                         "same key values") for b in ("local", "spark")},
+}
+
+
+@pytest.mark.parametrize("case", list(_INPUT_ERRORS))
+def test_input_error_names_the_op(spark, case):
+    """One case per check of a call: whichever step raises, the ``ValueError`` starts with the op."""
+    op, call, words = _INPUT_ERRORS[case]
+    with pytest.raises(ValueError, match=f"^{op}: .*{words}"):
+        call(_relations(spark))
 
 
 _SHAPE_CALLS = [*[(op, b) for op in ("qqr", "rqr") for b in _BACKENDS], ("rnk", "local")]
