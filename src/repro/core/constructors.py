@@ -29,10 +29,12 @@ the Arrow table it hands to ``createDataFrame`` for as long as the
 relation it returns is alive, and μ of that very relation reads the
 table instead: a relation built by ``createDataFrame`` cannot change, and
 a projection or any other derived relation is a new object that μ
-collects as usual.
+collects as usual. Spark receives that table as lazy partitions, one per
+Arrow batch, never as a driver-local relation.
 """
 from __future__ import annotations
 
+import threading
 import weakref
 from typing import Sequence
 
@@ -46,6 +48,14 @@ from pyspark.sql.utils import is_timestamp_ntz_preferred
 
 #: Spark's guard on the bytes one action may collect to the driver.
 _MAX_RESULT_SIZE = "spark.driver.maxResultSize"
+
+#: Arrow data below this many bytes becomes an eager ``LocalRelation`` in
+#: ``createDataFrame``; γ sets it to 0 for its one call.
+_LOCAL_RELATION_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+
+#: Held while γ has the threshold set, so that two threads cannot
+#: restore each other's value and leave the session's changed.
+_THRESHOLD_LOCK = threading.Lock()
 
 #: The Arrow table of each relation that γ built, alive as long as the
 #: relation. DataFrames hash by identity, so only that object finds it.
@@ -215,7 +225,17 @@ def relation_constructor(
 
     The Arrow table handed to ``createDataFrame`` is kept for
     :func:`split_sorted` of the returned relation, as long as that
-    relation lives.
+    relation lives. A float64 matrix is not copied before ``pa.array``,
+    which wraps a contiguous column and copies a strided one, so the
+    caller must not change the matrix afterwards.
+
+    The relation's partitions are the table's Arrow batches.
+    ``createDataFrame`` runs with ``localRelationThreshold`` at 0, so Spark
+    never builds an eager ``LocalRelation`` (rows converted on the driver
+    at once, and a row projection generated per schema); it converts the
+    batches only when it scans them. The caller's setting is restored
+    afterwards. The price: collecting a tiny result starts one job, where a
+    ``LocalRelation`` started none.
     """
     names = list(schema)
     if len(set(names)) != len(names):
@@ -233,7 +253,7 @@ def relation_constructor(
         if arr.ndim == 1:
             arr = arr.reshape(-1, 1)
         if arr.dtype.kind in "biuf":
-            arr = arr.astype(np.float64)
+            arr = arr.astype(np.float64, copy=False)
         cols += [(None, pa.array(col)) for col in arr.T]
     if len({len(col) for _, col in cols}) > 1:
         raise ValueError("matrix concatenation requires equal row counts")
@@ -243,6 +263,16 @@ def relation_constructor(
     t = pa.Table.from_arrays([col for _, col in cols], schema=pa.schema(fields))
     # Without a schema, pyspark adds the fields to a StructType one at a
     # time, and each addition rescans every field: quadratic in the width.
-    r = spark.createDataFrame(t, from_arrow_schema(t.schema, is_timestamp_ntz_preferred()))
+    spark_schema = from_arrow_schema(t.schema, is_timestamp_ntz_preferred())
+    with _THRESHOLD_LOCK:
+        caller = spark.conf.get(_LOCAL_RELATION_THRESHOLD, None)
+        spark.conf.set(_LOCAL_RELATION_THRESHOLD, "0")
+        try:
+            r = spark.createDataFrame(t, spark_schema)
+        finally:
+            if caller is None:
+                spark.conf.unset(_LOCAL_RELATION_THRESHOLD)
+            else:
+                spark.conf.set(_LOCAL_RELATION_THRESHOLD, caller)
     _BUILT[r] = t
     return r

@@ -130,8 +130,8 @@ def qqr_rows(r: DataFrame, by: Sequence[str], app_r: Sequence[str]) -> DataFrame
     """CholeskyQR: result relation with schema ``U ∘ Ū`` (Q values).
 
     Two engine passes: one for the Gram matrix, one multiplying each row
-    block by the broadcast ``R⁻¹`` (the ``mmu`` kernel). Rows keep their
-    own contextual values, so no global sort is required.
+    block by ``R⁻¹``, sent in the task closure (the ``mmu`` kernel). Rows
+    keep their own contextual values, so no global sort is required.
     """
     return mmu_rows(r, by, app_r, np.linalg.inv(rqr_matrix(r, app_r)), app_r)
 

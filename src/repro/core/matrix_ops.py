@@ -80,9 +80,12 @@ def _qr_canonical(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     q, r = np.linalg.qr(m, mode="reduced")
     # Flip signs so diag(R) >= 0: unique QR for full-rank input, shared
     # by the LAPACK, Gram-Schmidt, and distributed CholeskyQR backends.
+    # Q is flipped in place: it is LAPACK's fresh array, and a copy of it
+    # would double the largest matrix of the call.
     signs = np.sign(np.diag(r))
     signs[signs == 0] = 1.0
-    return q * signs, signs[:, None] * r
+    q *= signs
+    return q, signs[:, None] * r
 
 
 def qqr(m: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Tests for the matrix/relation constructors and casts (Sections 3, 4.1)."""
+import concurrent.futures
 import datetime
 import decimal
 import gc
 import math
+import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from helpers import KEY_CASES, key_case, sorted_matrix, spark_jobs
-from repro.core import constructors, ops
+from repro.core import constructors, matrix_ops, ops
 from repro.core.constructors import (
     application_schema,
     column_cast,
@@ -239,3 +242,76 @@ def test_gamma_s_table_dies_with_its_relation(spark):
     del g
     gc.collect()
     assert kept() is None
+
+
+_THRESHOLD = "spark.sql.execution.arrow.localRelationThreshold"
+
+
+def _gamma(spark, n, k, seed=0):
+    """γ of a keyed ``n×k`` random matrix: the relation, its order part and the matrix."""
+    m = np.random.default_rng(seed).standard_normal((n, k))
+    order = pa.table({"id": np.arange(n)})
+    return relation_constructor(spark, [order, m], ["id", *[f"a{j}" for j in range(k)]]), order, m
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (50_000, 22), (20, 1001)])
+def test_gamma_relation_plans_no_local_relation(spark, n, k):
+    """γ's partitions are its Arrow batches, also far below Spark's 48 MiB local-relation threshold."""
+    g, _, m = _gamma(spark, n, k)
+    plan = g._jdf.queryExecution().analyzed().toString()
+    assert "LocalRelation" not in plan and "LogicalRDD" in plan
+    assert g.agg(F.sum("a0")).first()[0] == pytest.approx(m[:, 0].sum())
+
+
+@pytest.mark.parametrize("caller", [None, "1048576"])
+def test_gamma_restores_the_session_threshold(spark, monkeypatch, caller):
+    def fail(*args, **kwargs):
+        raise RuntimeError("createDataFrame failed")
+
+    try:
+        if caller is not None:
+            spark.conf.set(_THRESHOLD, caller)
+        relation_constructor(spark, [np.ones((2, 2))], ["A", "B"])
+        assert spark.conf.get(_THRESHOLD, None) == caller
+        monkeypatch.setattr(spark, "createDataFrame", fail)
+        with pytest.raises(RuntimeError, match="createDataFrame failed"):
+            relation_constructor(spark, [np.ones((2, 2))], ["A", "B"])
+        assert spark.conf.get(_THRESHOLD, None) == caller
+    finally:
+        spark.conf.unset(_THRESHOLD)
+
+
+def test_gamma_threshold_survives_concurrent_calls(spark):
+    """More threads than cores build relations at once; the session's threshold ends unset."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(relation_constructor, spark, [np.ones((2, 2))], ["A", "B"]) for _ in range(40)]
+            built = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(built) == 40
+    assert spark.conf.get(_THRESHOLD, None) is None
+
+
+def test_mu_of_a_gamma_relation_starts_no_job(spark):
+    g, order, m = _gamma(spark, 50_000, 22, seed=1)
+    with spark_jobs(spark) as jobs:
+        got_order, got = split_sorted(g, ["id"], check=True)
+    assert jobs() == 0
+    assert got_order.equals(order) and got.tobytes() == np.asfortranarray(m).tobytes()
+
+
+def test_gamma_copies_no_float64_matrix(spark):
+    """γ makes no numpy copy of a float64 result: its numpy-side peak stays far below the matrix."""
+    q = matrix_ops.qqr(np.random.default_rng(2).standard_normal((100_000, 20)))
+    names = [f"a{j}" for j in range(20)]
+    relation_constructor(spark, [q[:2]], names)  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        relation_constructor(spark, [q], names)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * q.nbytes

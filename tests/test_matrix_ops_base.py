@@ -94,6 +94,12 @@ class TestQR:
         assert np.allclose(r, np.triu(r))
         assert (np.diag(r) >= 0).all()
 
+    def test_q_is_lapacks_q_with_flipped_columns(self, n, k, seed):
+        """The in-place sign flip gives the bits of LAPACK's Q times the signs of diag(R)."""
+        q, r = np.linalg.qr(rand(n, k, seed))
+        signs = np.where(np.diag(r) < 0, -1.0, 1.0)
+        assert M.qqr(rand(n, k, seed)).tobytes() == (q * signs).tobytes()
+
 
 @pytest.mark.parametrize("n,k,seed", [(4, 2, 0), (3, 5, 1), (5, 5, 2)])
 class TestSVD:

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from helpers import spark_jobs
 from repro import synth_data
 from repro.core import ops
 from repro.workloads import covariance, covariance_via_cpd, ols
@@ -71,6 +72,58 @@ def test_covariance_requires_two_tuples(spark):
     r = synth_data.matrix_relation(spark, n_rows=1, n_app=2)
     with pytest.raises(ValueError, match="two tuples"):
         covariance(r, "id")
+
+
+_NULL = r"^sub: application attribute\(s\) \['a'\] hold nulls"
+
+
+@pytest.mark.parametrize("schema,rows,match", [
+    ("id long, a double, b double", [(1, 1.0, 2.0), (2, None, 3.0), (3, 4.0, 5.0)], _NULL),
+    ("id long, a double, b double", [(1, None, 2.0), (2, None, 3.0)], _NULL),
+    ("id long, a double, s string", [(1, 1.0, "x"), (2, 2.0, "y")],
+     r"^sub: application attributes must be numeric; \['s'\] are not"),
+], ids=["one_null", "all_null", "string"])
+def test_covariance_input_errors_name_sub(spark, schema, rows, match):
+    """covariance's own aggregation runs first; a null or a string still reaches sub's checks."""
+    r = spark.createDataFrame(rows, schema)
+    with pytest.raises(ValueError, match=match):
+        covariance(r, "id")
+
+
+def _trips_lineage(spark, n):
+    """The §8.6 trips joined twice with their stations, uncached: ``(trip_id, distance, duration)``."""
+    st = synth_data.stations(spark)
+    s1 = st.select(F.col("code").alias("start_station"), F.col("lat").alias("lat1"), F.col("lon").alias("lon1"))
+    s2 = st.select(F.col("code").alias("end_station"), F.col("lat").alias("lat2"), F.col("lon").alias("lon2"))
+    return (
+        synth_data.trips(spark, n=n, seed=3).join(s1, "start_station").join(s2, "end_station")
+        .withColumn("distance", F.hypot(F.col("lat1") - F.col("lat2"), F.col("lon1") - F.col("lon2")))
+        .select("trip_id", "distance", "duration")
+    )
+
+
+def test_ols_copies_a_join_lineage_once(spark):
+    """One self cpd of [A | y] collects the lineage once; two cross products collected it three times."""
+    r = _trips_lineage(spark, 2000)
+    with spark_jobs(spark) as jobs:
+        beta = ols(r, "trip_id", ["distance"], "duration")
+    assert jobs() <= 7
+    pdf = r.toPandas()
+    a = np.column_stack([pdf["distance"], np.ones(len(pdf))])
+    expect, *_ = np.linalg.lstsq(a, pdf["duration"].to_numpy(), rcond=None)
+    got = {row["C"]: row["duration"] for row in beta.collect()}
+    assert [got["distance"], got["intercept"]] == pytest.approx(expect, rel=1e-10)
+
+
+def test_ols_errors_name_the_input_attributes(spark):
+    """A duplicate key or a null dependent value is reported under the input's own names."""
+    schema = "t long, x double, d double"
+    dup = spark.createDataFrame([(1, 1.0, 2.0), (1, 2.0, 3.0), (2, 3.0, 5.0)], schema)
+    with pytest.raises(ValueError, match=r"^cpd: order schema \['t'\] does not form a key"):
+        ols(dup, "t", ["x"], "d")
+    null = spark.createDataFrame([(1, 1.0, 2.0), (2, 2.0, None), (3, 3.0, 5.0)], schema)
+    with pytest.raises(ValueError, match=r"^cpd: application attribute\(s\) \['d'\] hold nulls"):
+        ols(null, "t", ["x"], "d")
 
 
 def test_ols_recovers_known_coefficients(spark):
